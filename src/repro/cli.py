@@ -37,7 +37,7 @@ Subcommands
 
         python -m repro batch jobs.jsonl \
             --schema catalog=catalog.dtd --schema docs=docs.dtd \
-            --out results.jsonl --workers 4 --repeat 2 --state-dir state/
+            --out results.jsonl --workers 4 --repeat 2 --state-tier state/
 
     Heavy jobs are grouped by plan × schema and each group runs as one
     worker task with shared per-plan setup; ``--no-group-by-plan``
@@ -47,7 +47,7 @@ Subcommands
     schema's DTD and prepared contexts warm across chunks;
     ``--no-affinity`` restores stateless pooling and
     ``--lane-queue-depth N`` tunes the spill-over threshold.
-    ``--decision-cap`` / ``--telemetry-max-age`` control state-dir
+    ``--decision-cap`` / ``--telemetry-max-age`` control persisted-state
     hygiene (persisted decisions per schema, telemetry row aging).
 
     Each input line is ``{"query": ..., "schema": ..., "id": ...}``
@@ -55,9 +55,12 @@ Subcommands
     per-job result.  ``--repeat`` re-runs the workload in the same
     process, so the second pass exercises the warm cache; per-pass
     ``decide()`` counts and cache stats are printed at the end.
-    ``--state-dir`` persists plan caches, per-plan telemetry, the cost
-    model, and the decision cache across processes: a rerun on a
-    previously-seen workload starts warm (zero plans built).
+    ``--state-tier`` persists plan caches, per-plan telemetry, the cost
+    model, and the decision cache across processes in one SQLite
+    database (a file, or ``state.sqlite`` inside a directory): a rerun
+    on a previously-seen workload starts warm (zero plans built).  A
+    JSON state directory written by an earlier release is imported the
+    first time ``--state-tier`` points at it.
 
 ``serve``
     Run the engine as a long-lived daemon speaking the same JSONL job
@@ -65,13 +68,13 @@ Subcommands
     :mod:`repro.engine.server` for protocol and backpressure details)::
 
         python -m repro serve --socket /run/repro.sock \
-            --schema catalog=catalog.dtd --workers 4 --state-dir state/
+            --schema catalog=catalog.dtd --workers 4 --state-tier state/
         python -m repro serve --port 7077 --schema-dir schemas/
 
     Clients write job lines and read streamed result lines on the same
     connection.  The engine — lanes, caches, cost model — persists
     across every request; SIGTERM drains in-flight jobs, snapshots
-    ``--state-dir``, and exits 0.  ``--max-inflight`` bounds admitted
+    ``--state-tier``, and exits 0.  ``--max-inflight`` bounds admitted
     jobs (excess gets a ``retry`` response), ``--snapshot-interval``
     controls periodic state snapshots.
 
@@ -98,13 +101,13 @@ Subcommands
         python -m repro stats results.jsonl
 
     ``--plans`` renders the persisted per-plan telemetry table (latency,
-    verdict mix, fallback rate) from a ``--state-dir``; ``--json``
+    verdict mix, fallback rate) from a ``--state-tier``; ``--json``
     switches either mode to machine-readable output (with ``--plans``
     that is the full engine-stats snapshot, per-plan rows, and cost
     model)::
 
-        python -m repro stats --plans --state-dir state/
-        python -m repro stats --plans --state-dir state/ --json
+        python -m repro stats --plans --state-tier state/
+        python -m repro stats --plans --state-tier state/ --json
 
 ``trace``
     Render a JSONL trace file written by ``batch --trace-out``: one
@@ -212,14 +215,21 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     return 0
 
 
+def _load_tier(path: str):
+    """A tier's persisted state plus its per-process engine-stats rows
+    (load warnings reach stderr through repro.obs.log)."""
+    from repro.engine.statetier import StateTier
+
+    with StateTier(path) as tier:
+        return tier.load(), tier.engine_stats_rows()
+
+
 def _cmd_explain(args: argparse.Namespace) -> int:
-    from repro.engine.state import load_state
     from repro.sat import Planner
 
     query = parse_query(args.query)
     features = features_of(query)
-    # state-dir warnings reach stderr through repro.obs.log
-    state = load_state(args.state_dir) if args.state_dir is not None else None
+    state = _load_tier(args.state_tier)[0] if args.state_tier is not None else None
     planner = (
         Planner(cost_model=state.cost_model)
         if state is not None and state.cost_model is not None
@@ -337,7 +347,6 @@ def _make_engine(args: argparse.Namespace, registry, tracer) -> BatchEngine:
         registry=registry,
         cache=DecisionCache(capacity=args.cache_size),
         workers=args.workers,
-        state_dir=args.state_dir,
         state_tier=args.state_tier,
         group_by_plan=args.group_by_plan,
         group_chunk_size=args.group_chunk_size,
@@ -364,7 +373,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     engine = _make_engine(args, registry, tracer)
 
     # a SIGINT/SIGTERM mid-run must not lose the run's plans, telemetry,
-    # and cost samples: unwind via _SignalExit, snapshot the state dir,
+    # and cost samples: unwind via _SignalExit, snapshot the state tier,
     # close the engine (the finally), and exit 128+signum
     def _interrupt(signum, frame):
         raise _SignalExit(signum)
@@ -541,7 +550,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     if args.plans:
         return _cmd_stats_plans(args)
     if args.results is None:
-        raise EngineError("stats needs a results file (or --plans --state-dir DIR)")
+        raise EngineError("stats needs a results file (or --plans --state-tier PATH)")
 
     def bump(table: dict[str, int], key: str) -> None:
         table[key] = table.get(key, 0) + 1
@@ -591,23 +600,9 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 def _cmd_stats_plans(args: argparse.Namespace) -> int:
     """The per-plan telemetry report backing ``repro stats --plans``."""
-    from repro.engine.state import load_state
-
-    if args.state_dir is None and args.state_tier is None:
-        raise EngineError(
-            "stats --plans needs --state-dir DIR or --state-tier PATH"
-        )
-    engine_rows: dict[str, dict] | None = None
-    if args.state_tier is not None:
-        from repro.engine.statetier import StateTier
-
-        # warnings reach stderr through repro.obs.log
-        with StateTier(args.state_tier) as tier:
-            state = tier.load()
-            engine_rows = tier.engine_stats_rows()
-    else:
-        # state-dir warnings reach stderr through repro.obs.log
-        state = load_state(args.state_dir)
+    if args.state_tier is None:
+        raise EngineError("stats --plans needs --state-tier PATH")
+    state, engine_rows = _load_tier(args.state_tier)
     if args.json:
         telemetry = state.telemetry
         rows = telemetry.summary() if telemetry is not None else {}
@@ -627,9 +622,8 @@ def _cmd_stats_plans(args: argparse.Namespace) -> int:
                 state.cost_model.to_dict()
                 if state.cost_model is not None else None
             ),
+            "processes": engine_rows,
         }
-        if engine_rows is not None:
-            payload["processes"] = engine_rows
         print(json.dumps(payload, indent=2))
         return 0
     if engine_rows:
@@ -695,53 +689,49 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         "--group-by-plan", action=argparse.BooleanOptionalAction, default=None,
         help="group pooled jobs by plan and dispatch each group as one "
              "worker task with shared per-plan setup (default: on, or the "
-             "state dir's persisted setting)",
+             "state tier's persisted setting)",
     )
     parser.add_argument(
         "--group-chunk-size", type=int, default=None, metavar="N",
         help="max jobs dispatched per plan-group chunk (default 16, or "
-             "the state dir's persisted setting)",
+             "the state tier's persisted setting)",
     )
     parser.add_argument(
         "--affinity", action=argparse.BooleanOptionalAction, default=None,
         help="route plan-group chunks to persistent worker lanes by "
              "schema-fingerprint affinity, so lane runtimes keep schemas "
              "and prepared contexts warm across chunks (default: on, or "
-             "the state dir's persisted setting; --no-affinity restores "
+             "the state tier's persisted setting; --no-affinity restores "
              "stateless pooling)",
     )
     parser.add_argument(
         "--lane-queue-depth", type=int, default=None, metavar="N",
         help="in-flight chunks a preferred lane may hold before a chunk "
              "spills to the least-loaded lane (default 4, or the state "
-             "dir's persisted setting)",
+             "tier's persisted setting)",
     )
     parser.add_argument(
         "--decision-cap", type=int, default=None, metavar="N",
         help="max persisted decision-cache entries per schema when saving "
-             "--state-dir (default 512)",
+             "--state-tier (default 512)",
     )
     parser.add_argument(
         "--telemetry-max-age", type=float, default=None, metavar="DAYS",
         help="age out persisted telemetry rows not seen for DAYS when "
-             "saving --state-dir (default 30)",
+             "saving --state-tier (default 30)",
     )
     parser.add_argument(
         "--cache-size", type=int, default=4096,
         help="decision-cache capacity (default 4096 entries)",
     )
     parser.add_argument(
-        "--state-dir", metavar="DIR",
-        help="load persisted plans/telemetry/cost-model/decisions from DIR "
-             "at startup and save back after the run (warm cross-process starts)",
-    )
-    parser.add_argument(
         "--state-tier", metavar="PATH",
-        help="shared SQLite state tier (file or directory): like "
-             "--state-dir, but concurrent-safe — N processes may load and "
-             "save simultaneously, cost samples merge instead of "
-             "overwriting; a legacy --state-dir at the same directory is "
-             "migrated on first open",
+        help="SQLite state tier (file or directory): load persisted "
+             "plans/telemetry/cost-model/decisions at startup and save "
+             "back after the run; concurrent-safe — N processes may load "
+             "and save simultaneously, cost samples merge instead of "
+             "overwriting; a legacy JSON state dir at the same directory "
+             "is imported on first open",
     )
     parser.add_argument(
         "--trace-out", metavar="PATH",
@@ -760,6 +750,22 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_endpoint_options(parser: argparse.ArgumentParser) -> None:
+    """The front door's endpoint: ``serve`` and ``route`` bind alike."""
+    parser.add_argument(
+        "--socket", metavar="PATH",
+        help="listen on a unix domain socket at PATH",
+    )
+    parser.add_argument(
+        "--host", default="127.0.0.1", metavar="ADDR",
+        help="bind address for --port (default 127.0.0.1)",
+    )
+    parser.add_argument(
+        "--port", type=int, default=None, metavar="N",
+        help="listen on TCP port N (0 picks a free port)",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -770,7 +776,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--log-level", default="warning", metavar="LEVEL",
         choices=("debug", "info", "warning", "error", "critical"),
         help="structured-log threshold on stderr (default: warning; "
-             "debug shows lane forks and state-dir adoption)",
+             "debug shows lane forks and persisted-state adoption)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -803,9 +809,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the serialized plan instead of the human-readable form",
     )
     explain.add_argument(
-        "--state-dir", metavar="DIR",
+        "--state-tier", metavar="PATH",
         help="plan with the persisted cost model and show the plan's "
-             "accumulated telemetry from DIR",
+             "accumulated telemetry from the state tier at PATH",
     )
     explain.set_defaults(func=_cmd_explain)
 
@@ -834,18 +840,7 @@ def build_parser() -> argparse.ArgumentParser:
              "protocol over a unix socket or TCP port",
     )
     _add_engine_options(serve)
-    serve.add_argument(
-        "--socket", metavar="PATH",
-        help="listen on a unix domain socket at PATH",
-    )
-    serve.add_argument(
-        "--host", default="127.0.0.1", metavar="ADDR",
-        help="bind address for --port (default 127.0.0.1)",
-    )
-    serve.add_argument(
-        "--port", type=int, default=None, metavar="N",
-        help="listen on TCP port N (0 picks a free port)",
-    )
+    _add_endpoint_options(serve)
     serve.add_argument(
         "--max-batch", type=int, default=256, metavar="N",
         help="max jobs folded into one engine.run() per connection "
@@ -860,7 +855,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--snapshot-interval", type=float, default=300.0, metavar="SECONDS",
         help="seconds between periodic save_state() snapshots when "
-             "--state-dir is set (default 300)",
+             "--state-tier is set (default 300)",
     )
     serve.set_defaults(func=_cmd_serve)
 
@@ -879,18 +874,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="route to a pre-started engine socket instead of spawning "
              "(repeatable; attached engines are never restarted)",
     )
-    route.add_argument(
-        "--socket", metavar="PATH",
-        help="listen on a unix domain socket at PATH",
-    )
-    route.add_argument(
-        "--host", default="127.0.0.1", metavar="ADDR",
-        help="bind address for --port (default 127.0.0.1)",
-    )
-    route.add_argument(
-        "--port", type=int, default=None, metavar="N",
-        help="listen on TCP port N (0 picks a free port)",
-    )
+    _add_endpoint_options(route)
     route.add_argument(
         "--schema", action="append", metavar="NAME=PATH",
         help="register a DTD file under NAME (repeatable; passed through "
@@ -943,15 +927,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stats.add_argument(
         "--plans", action="store_true",
-        help="print the per-plan latency/verdict/fallback table from --state-dir",
-    )
-    stats.add_argument(
-        "--state-dir", metavar="DIR",
-        help="state directory written by 'batch --state-dir'",
+        help="print the per-plan latency/verdict/fallback table from "
+             "--state-tier",
     )
     stats.add_argument(
         "--state-tier", metavar="PATH",
-        help="shared SQLite state tier written by '--state-tier' runs "
+        help="SQLite state tier written by '--state-tier' runs "
              "(merged view across every contributing process)",
     )
     stats.add_argument(

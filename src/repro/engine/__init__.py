@@ -18,12 +18,15 @@ package amortizes their setup across production-scale workloads:
   with schema-fingerprint affinity routing;
 * :mod:`repro.engine.jobs` — JSONL serialization driving ``python -m
   repro batch``;
+* :mod:`repro.engine.frontdoor` — the JSONL transport (bind, signals,
+  client read/write loops, drain) that ``serve`` and ``route`` share;
 * :mod:`repro.engine.server` — :class:`EngineServer`, the asyncio daemon
   behind ``python -m repro serve``: one shared engine multiplexed across
   concurrent JSONL connections, with admission control and snapshots;
-* :mod:`repro.engine.statetier` — :class:`StateTier`, the concurrent-safe
-  SQLite (WAL) replacement for the JSON state snapshot: N processes load
-  and save simultaneously, cost samples merge instead of overwriting;
+* :mod:`repro.engine.statetier` — :class:`StateTier`, the engine's
+  persistence: one concurrent-safe SQLite (WAL) database that N
+  processes load and save simultaneously, cost samples merging instead
+  of overwriting (legacy JSON state dirs are imported on first open);
 * :mod:`repro.engine.router` — :class:`EngineRouter`, the multi-process
   front door behind ``python -m repro route``: shards JSONL jobs across
   N engine processes by schema fingerprint and warms them from the tier.
@@ -58,7 +61,7 @@ from repro.engine.jobs import (
 from repro.engine.registry import SchemaArtifacts, SchemaRegistry, schema_fingerprint
 from repro.engine.router import EngineRouter, RouterStats, pick_shard
 from repro.engine.server import EngineServer, ServerStats
-from repro.engine.state import PersistedState, load_state, save_state
+from repro.engine.state import PersistedState, load_state
 from repro.engine.statetier import StateTier, resolve_tier_path
 
 __all__ = [
@@ -70,7 +73,7 @@ __all__ = [
     "SchemaArtifacts", "SchemaRegistry", "schema_fingerprint",
     "EngineServer", "ServerStats",
     "EngineRouter", "RouterStats", "pick_shard",
-    "PersistedState", "load_state", "save_state",
+    "PersistedState", "load_state",
     "StateTier", "resolve_tier_path",
     "read_jobs", "read_jobs_file", "write_jobs_file",
     "write_results", "write_results_file",

@@ -91,7 +91,7 @@ class DecisionCache:
 
     def to_records(self) -> list:
         """Serialize current entries (LRU order, oldest first) for the
-        engine's ``--state-dir`` persistence.  Counters are not part of
+        engine's ``--state-tier`` persistence.  Counters are not part of
         the record: a reloaded cache starts cold statistically but warm
         in content."""
         return [

@@ -113,7 +113,7 @@ class SchemaRegistry:
         self._pending_names: dict[str, str] = {}
         self.builds = 0            # artifact pipelines actually run
         self.dedup_hits = 0        # registrations resolved to an existing record
-        self.persisted_plans = 0   # plans adopted from a persisted state dir
+        self.persisted_plans = 0   # plans adopted from persisted state
 
     # -- registration -------------------------------------------------------
     def register(self, name: str, schema: DTD | str) -> SchemaArtifacts:
@@ -139,7 +139,7 @@ class SchemaRegistry:
         plans_by_fingerprint: dict[str, dict[str, Plan]],
         names: dict[str, str] | None = None,
     ) -> int:
-        """Warm plan caches from persisted state (``--state-dir``): plans
+        """Warm plan caches from persisted state (``--state-tier``): plans
         for already-registered schemas are applied immediately, the rest
         wait for their schema's registration.  Existing cache entries win
         (they were planned against the live cost model).  Returns the
@@ -168,7 +168,7 @@ class SchemaRegistry:
     def pending_plan_records(self) -> dict[str, tuple[str, dict[str, Plan]]]:
         """Adopted plans whose schema was never registered this run, as
         ``fingerprint -> (last known name, plans)``.  State persistence
-        writes these back so alternating workloads sharing one state dir
+        writes these back so alternating workloads sharing one state tier
         do not erase each other's warm plans."""
         return {
             fingerprint: (
@@ -183,8 +183,7 @@ class SchemaRegistry:
         """Every plan worth persisting, as ``fingerprint -> (name,
         signature -> Plan)``: the live per-schema plan caches plus the
         adopted-but-unapplied plans of schemas never registered this run
-        (:meth:`pending_plan_records`) — the one source both the JSON
-        state dir and the SQLite state tier serialize from."""
+        (:meth:`pending_plan_records`) — what the state tier serializes."""
         records: dict[str, tuple[str, dict[str, Plan]]] = {}
         for artifacts in self:
             if artifacts.plan_cache:

@@ -33,11 +33,11 @@ processes:
   its in-flight jobs are re-dispatched exactly once; a job whose retry
   also dies gets an error response instead of a third attempt.
 
-Lifecycle mirrors :class:`~repro.engine.server.EngineServer`: SIGTERM /
-SIGINT stop intake, drain every routed job, then SIGTERM the managed
-workers — each drains and snapshots the shared tier on its own — and
-wait for them.  ``repro_router_*`` metrics (per-shard depth and job
-gauges, spill / restart / retry counters) render into
+The client side is the front door ``repro serve`` uses too
+(:mod:`repro.engine.frontdoor`).  After its drain the router SIGTERMs
+the managed workers — each drains and snapshots the shared tier on its
+own — and waits for them.  ``repro_router_*`` metrics (per-shard depth
+and job gauges, spill / restart / retry counters) render into
 ``--metrics-out``.
 """
 
@@ -46,16 +46,20 @@ from __future__ import annotations
 import asyncio
 import json
 import os
-import signal as signal_module
 import sys
 import tempfile
-import time
 import zlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 from repro.dtd.parser import parse_dtd
-from repro.engine.jobs import parse_job_line
+from repro.engine.batch import Job
+from repro.engine.frontdoor import (
+    Connection,
+    FrontDoor,
+    response_id,
+    write_records,
+)
 from repro.engine.registry import schema_fingerprint
 from repro.engine.state import _atomic_write_text
 from repro.errors import EngineError
@@ -131,7 +135,7 @@ class RouterStats:
         return sum(1 for count in self.shard_jobs.values() if count)
 
     def register_metrics(self, registry) -> None:
-        for name, attr, help_text in (
+        registry.counters("repro_router", self, (
             ("connections", "connections_total",
              "client connections accepted by the router"),
             ("jobs", "jobs_routed", "jobs routed to engine shards"),
@@ -149,10 +153,7 @@ class RouterStats:
              "jobs answered with a router-side error"),
             ("invalid_lines", "invalid_lines",
              "request lines that were not valid job records"),
-        ):
-            registry.counter(f"repro_router_{name}_total", help_text).inc(
-                getattr(self, attr)
-            )
+        ))
         registry.gauge(
             "repro_router_active_connections", "currently connected clients"
         ).set(self.connections_active)
@@ -170,59 +171,40 @@ class RouterStats:
             ).set(self.shard_depth[index])
 
 
+@dataclass(slots=True)
 class _Pending:
     """One routed job awaiting its result."""
 
-    __slots__ = ("conn", "original_id", "query_text", "payload", "retried")
-
-    def __init__(self, conn: "_ClientConn", original_id: str | None,
-                 query_text: str, payload: dict[str, Any]) -> None:
-        self.conn = conn
-        self.original_id = original_id
-        self.query_text = query_text
-        self.payload = payload       # the rewritten job record (token id)
-        self.retried = False
+    conn: Connection
+    response_id: str            # the id the client gets back
+    payload: dict[str, Any]     # the rewritten job record (token id)
+    retried: bool = False
 
 
-class _ClientConn:
-    """Per-client state: outbound queue plus in-flight accounting."""
-
-    def __init__(self, conn_id: int) -> None:
-        self.conn_id = conn_id
-        self.out_queue: asyncio.Queue = asyncio.Queue()
-        self.inflight = 0
-        self.eof = False
-        self.drained = asyncio.Event()
-
-    def settle(self) -> None:
-        if self.eof and self.inflight == 0:
-            self.drained.set()
-
-
+@dataclass(eq=False)
 class _Shard:
     """One engine worker: its socket, process (when managed), connection,
     and in-flight token map."""
 
-    def __init__(self, index: int, socket_path: str, managed: bool) -> None:
-        self.index = index
-        self.socket_path = socket_path
-        self.managed = managed
-        self.process: asyncio.subprocess.Process | None = None
-        self.reader: asyncio.StreamReader | None = None
-        self.writer: asyncio.StreamWriter | None = None
-        self.reader_task: asyncio.Task | None = None
-        self.writer_task: asyncio.Task | None = None
-        self.out_queue: asyncio.Queue = asyncio.Queue()
-        self.inflight: dict[str, _Pending] = {}
-        self.alive = False
-        self.restarts = 0
+    index: int
+    socket_path: str
+    managed: bool
+    process: asyncio.subprocess.Process | None = None
+    reader: asyncio.StreamReader | None = None
+    writer: asyncio.StreamWriter | None = None
+    reader_task: asyncio.Task | None = None
+    writer_task: asyncio.Task | None = None
+    out_queue: asyncio.Queue = field(default_factory=asyncio.Queue)
+    inflight: dict[str, _Pending] = field(default_factory=dict)
+    alive: bool = False
+    restarts: int = 0
 
     @property
     def depth(self) -> int:
         return len(self.inflight)
 
 
-class EngineRouter:
+class EngineRouter(FrontDoor):
     """The asyncio front door behind ``repro route`` (see the module
     docstring for the routing model).
 
@@ -230,6 +212,8 @@ class EngineRouter:
     connectable **and** the client endpoint is bound — the warm-boot
     barrier: by then each spawned engine has already adopted the shared
     tier's plans and cost cells."""
+
+    command = "route"
 
     def __init__(
         self,
@@ -248,10 +232,9 @@ class EngineRouter:
         metrics_out: str | None = None,
         on_ready: Callable[["EngineRouter"], None] | None = None,
     ) -> None:
-        if (socket_path is None) == (port is None):
-            raise EngineError(
-                "route needs exactly one endpoint: --socket PATH or --port N"
-            )
+        super().__init__(
+            socket_path=socket_path, host=host, port=port, on_ready=on_ready
+        )
         if workers < 0:
             raise EngineError(f"workers must be non-negative, got {workers}")
         if workers + len(attach) < 1:
@@ -262,19 +245,13 @@ class EngineRouter:
             raise EngineError(
                 f"max_restarts must be non-negative, got {max_restarts}"
             )
-        self.socket_path = socket_path
-        self.host = host
-        self.port = port
         self.spill_depth = spill_depth
         self.max_restarts = max_restarts
         self.boot_timeout = boot_timeout
         self.metrics_out = metrics_out
-        self.on_ready = on_ready
         self.worker_args = list(worker_args)
         self.worker_dir = worker_dir
-        self._own_worker_dir = False
         self.stats = RouterStats()
-        self.endpoint: str | None = None
         # schema name -> content fingerprint: the shard key.  The router
         # never builds artifacts — fingerprinting parses the DTD once.
         self._fingerprints: dict[str, str] = {}
@@ -283,35 +260,14 @@ class EngineRouter:
                 self._fingerprints[name] = schema_fingerprint(
                     parse_dtd(handle.read())
                 )
-        self.shards: list[_Shard] = []
-        index = 0
-        for _ in range(workers):
-            self.shards.append(_Shard(index, "", managed=True))
-            index += 1
-        for sock in attach:
-            shard = _Shard(index, sock, managed=False)
-            self.shards.append(shard)
-            index += 1
-        for shard in self.shards:
-            self.stats.shard_jobs[shard.index] = 0
-            self.stats.shard_depth[shard.index] = 0
-        self._shutdown: asyncio.Event | None = None
-        self._client_tasks: set = set()
-        self._next_conn_id = 0
+        self.shards = [_Shard(index, "", managed=True) for index in range(workers)]
+        self.shards += [
+            _Shard(workers + offset, sock, managed=False)
+            for offset, sock in enumerate(attach)
+        ]
+        self.stats.shard_jobs = dict.fromkeys(range(len(self.shards)), 0)
         self._next_token = 0
         self._stopping = False
-
-    # -- entry points -------------------------------------------------------
-    def run(self) -> int:
-        """Blocking entry point (the CLI): route until SIGTERM/SIGINT,
-        then drain and exit 0."""
-        asyncio.run(self.serve_forever())
-        return 0
-
-    def request_shutdown(self, reason: str = "request") -> None:
-        if self._shutdown is not None and not self._shutdown.is_set():
-            _LOG.warning("received %s: draining and shutting down", reason)
-            self._shutdown.set()
 
     # -- worker fleet -------------------------------------------------------
     async def _spawn(self, shard: _Shard) -> None:
@@ -366,29 +322,18 @@ class EngineRouter:
         shard.alive = True
         shard.out_queue = asyncio.Queue()
         shard.reader_task = asyncio.create_task(self._shard_read_loop(shard))
-        shard.writer_task = asyncio.create_task(self._shard_write_loop(shard))
+        # a write error ends the pump; the reader loop sees the same death
+        # and redistributes shard.inflight, unsent payloads included
+        shard.writer_task = asyncio.create_task(
+            write_records(shard.out_queue, shard.writer, keep_draining=False)
+        )
 
     async def _start_shard(self, shard: _Shard) -> None:
         if shard.managed:
             await self._spawn(shard)
         await self._connect(shard)
 
-    # -- shard pumps --------------------------------------------------------
-    async def _shard_write_loop(self, shard: _Shard) -> None:
-        while True:
-            payload = await shard.out_queue.get()
-            if payload is None:
-                return
-            try:
-                shard.writer.write(
-                    (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
-                )
-                await shard.writer.drain()
-            except (ConnectionError, OSError):
-                # the reader loop observes the same death and handles
-                # redistribution; unsent payloads stay in shard.inflight
-                return
-
+    # -- shard responses ----------------------------------------------------
     async def _shard_read_loop(self, shard: _Shard) -> None:
         try:
             while True:
@@ -418,7 +363,6 @@ class EngineRouter:
         pending = shard.inflight.pop(token, None) if token is not None else None
         if pending is None:
             return
-        self.stats.shard_depth[shard.index] = shard.depth
         if record.get("status") == "retry":
             # worker backpressure: the engine shed the job unexecuted.
             # The front door owns delivery — requeue after a beat (the
@@ -426,17 +370,12 @@ class EngineRouter:
             # to the client.
             self.stats.sheds_requeued += 1
             asyncio.get_running_loop().call_later(
-                0.05, self._redispatch, token, pending
+                0.05, self._route, token, pending
             )
             return
-        record["id"] = (
-            pending.original_id if pending.original_id is not None
-            else pending.query_text
-        )
+        record["id"] = pending.response_id
         self.stats.results_returned += 1
-        pending.conn.inflight -= 1
-        pending.conn.out_queue.put_nowait(record)
-        pending.conn.settle()
+        pending.conn.answer(record)
 
     async def _shard_down(self, shard: _Shard) -> None:
         """Handle a dead shard: restart the worker (managed shards, up to
@@ -448,7 +387,6 @@ class EngineRouter:
         shard.alive = False
         orphans = shard.inflight
         shard.inflight = {}
-        self.stats.shard_depth[shard.index] = 0
         if shard.writer is not None:
             shard.writer.close()
         if (
@@ -480,7 +418,7 @@ class EngineRouter:
             self.stats.retried_jobs += 1
             self._dispatch(token, pending)
 
-    def _redispatch(self, token: str, pending: _Pending) -> None:
+    def _route(self, token: str, pending: _Pending) -> None:
         try:
             self._dispatch(token, pending)
         except EngineError as error:
@@ -488,16 +426,9 @@ class EngineRouter:
 
     def _fail(self, pending: _Pending, message: str) -> None:
         self.stats.failed_jobs += 1
-        pending.conn.inflight -= 1
-        pending.conn.out_queue.put_nowait({
-            "id": (
-                pending.original_id if pending.original_id is not None
-                else pending.query_text
-            ),
-            "status": "error",
-            "error": message,
+        pending.conn.answer({
+            "id": pending.response_id, "status": "error", "error": message,
         })
-        pending.conn.settle()
 
     # -- routing ------------------------------------------------------------
     def _shard_key(self, schema: str | None) -> str:
@@ -520,122 +451,23 @@ class EngineRouter:
             self.stats.spills += 1
         shard.inflight[token] = pending
         self.stats.shard_jobs[index] += 1
-        self.stats.shard_depth[index] = shard.depth
         shard.out_queue.put_nowait(pending.payload)
 
-    def _ingest(self, conn: _ClientConn, line: bytes) -> None:
-        text = line.decode("utf-8", "replace").strip()
-        if not text or text.startswith("#"):
-            return
-        try:
-            job = parse_job_line(text)
-        except EngineError as error:
-            self.stats.invalid_lines += 1
-            conn.out_queue.put_nowait({"status": "error", "error": str(error)})
-            return
+    def _admit(self, conn: Connection, job: Job) -> None:
         self._next_token += 1
         token = f"r{self._next_token}"
         payload: dict[str, Any] = {"query": job.query_text, "id": token}
         if job.schema is not None:
             payload["schema"] = job.schema
-        pending = _Pending(conn, job.id, job.query_text, payload)
         conn.inflight += 1
         self.stats.jobs_routed += 1
-        try:
-            self._dispatch(token, pending)
-        except EngineError as error:
-            self._fail(pending, str(error))
-
-    # -- client side --------------------------------------------------------
-    async def _client(self, reader, writer) -> None:
-        task = asyncio.current_task()
-        self._client_tasks.add(task)
-        self._next_conn_id += 1
-        conn = _ClientConn(self._next_conn_id)
-        self.stats.connections_total += 1
-        self.stats.connections_active += 1
-        writer_task = asyncio.create_task(self._client_write_loop(conn, writer))
-        try:
-            await self._client_read_loop(conn, reader)
-        finally:
-            conn.eof = True
-            conn.settle()
-            try:
-                await conn.drained.wait()
-            finally:
-                await conn.out_queue.put(None)
-                try:
-                    await writer_task
-                finally:
-                    self.stats.connections_active -= 1
-                    self._client_tasks.discard(task)
-                    writer.close()
-                    try:
-                        await writer.wait_closed()
-                    except (ConnectionError, OSError):
-                        pass
-
-    async def _client_read_loop(self, conn: _ClientConn, reader) -> None:
-        shutdown_wait = asyncio.ensure_future(self._shutdown.wait())
-        try:
-            while True:
-                read = asyncio.ensure_future(reader.readline())
-                done, _ = await asyncio.wait(
-                    {read, shutdown_wait},
-                    return_when=asyncio.FIRST_COMPLETED,
-                )
-                if read not in done:
-                    read.cancel()
-                    try:
-                        await read
-                    except (asyncio.CancelledError, ConnectionError, OSError):
-                        pass
-                    return
-                try:
-                    line = read.result()
-                except (ConnectionError, OSError):
-                    return
-                if not line:
-                    return
-                self._ingest(conn, line)
-        finally:
-            shutdown_wait.cancel()
-            try:
-                await shutdown_wait
-            except asyncio.CancelledError:
-                pass
-
-    async def _client_write_loop(self, conn: _ClientConn, writer) -> None:
-        while True:
-            record = await conn.out_queue.get()
-            if record is None:
-                return
-            try:
-                writer.write(
-                    (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
-                )
-                await writer.drain()
-            except (ConnectionError, OSError):
-                # client went away; keep draining so in-flight results
-                # flow into the void until the sentinel
-                continue
+        self._route(token, _Pending(conn, response_id(job), payload))
 
     # -- lifecycle ----------------------------------------------------------
-    async def serve_forever(self) -> None:
-        loop = asyncio.get_running_loop()
-        self._shutdown = asyncio.Event()
-        for signum in (signal_module.SIGTERM, signal_module.SIGINT):
-            try:
-                loop.add_signal_handler(
-                    signum, self.request_shutdown,
-                    signal_module.Signals(signum).name,
-                )
-            except (NotImplementedError, RuntimeError):
-                pass
+    async def _start(self) -> None:
         if any(shard.managed for shard in self.shards):
             if self.worker_dir is None:
                 self.worker_dir = tempfile.mkdtemp(prefix="repro-route-")
-                self._own_worker_dir = True
             else:
                 os.makedirs(self.worker_dir, exist_ok=True)
         try:
@@ -648,64 +480,22 @@ class EngineRouter:
         except EngineError:
             await self._stop_workers()
             raise
-        if self.socket_path is not None:
-            if os.path.exists(self.socket_path):
-                _LOG.warning("removing stale socket %s", self.socket_path)
-                os.unlink(self.socket_path)
-            server = await asyncio.start_unix_server(
-                self._client, path=self.socket_path
-            )
-            self.endpoint = f"unix:{self.socket_path}"
-        else:
-            server = await asyncio.start_server(
-                self._client, host=self.host, port=self.port
-            )
-            self.port = server.sockets[0].getsockname()[1]
-            self.endpoint = f"{self.host}:{self.port}"
         _LOG.info(
-            "routing on %s across %d shards (spill_depth=%d)",
-            self.endpoint, len(self.shards), self.spill_depth,
+            "routing across %d shards (spill_depth=%d)",
+            len(self.shards), self.spill_depth,
         )
-        if self.on_ready is not None:
-            self.on_ready(self)
-        try:
-            await self._shutdown.wait()
-        finally:
-            server.close()
-            await server.wait_closed()
-            if self._client_tasks:
-                await asyncio.gather(
-                    *list(self._client_tasks), return_exceptions=True
-                )
-            await self._drain_shards()
-            self._stopping = True
-            await self._stop_workers()
-            if self.socket_path is not None:
-                try:
-                    os.unlink(self.socket_path)
-                except OSError:
-                    pass
-            if self.metrics_out is not None:
-                self._write_metrics()
-            _LOG.info(
-                "drained and closed (%d jobs over %d connections, "
-                "%d shards used)", self.stats.jobs_routed,
-                self.stats.connections_total, self.stats.shards_used(),
-            )
 
-    async def _drain_shards(self) -> None:
-        """Client handlers have finished, which means every in-flight job
-        was answered or failed — unless a worker death is mid-recovery;
-        give redistribution a bounded grace period."""
-        deadline = asyncio.get_running_loop().time() + 30.0
-        while any(shard.inflight for shard in self.shards):
-            if asyncio.get_running_loop().time() >= deadline:
-                _LOG.error(
-                    "shutdown with %d jobs still in flight",
-                    sum(shard.depth for shard in self.shards),
-                )
-                break
-            await asyncio.sleep(0.05)
+    async def _stop(self) -> None:
+        # each client handler waited for its jobs' answers, so no shard
+        # holds a routed job any more
+        await self._stop_workers()
+        if self.metrics_out is not None:
+            self._write_metrics()
+        _LOG.info(
+            "drained and closed (%d jobs over %d connections, "
+            "%d shards used)", self.stats.jobs_routed,
+            self.stats.connections_total, self.stats.shards_used(),
+        )
 
     async def _stop_workers(self) -> None:
         self._stopping = True
@@ -736,6 +526,7 @@ class EngineRouter:
                 await process.wait()
 
     def metrics_registry(self) -> MetricsRegistry:
+        self.stats.shard_depth = {shard.index: shard.depth for shard in self.shards}
         registry = MetricsRegistry()
         self.stats.register_metrics(registry)
         return registry

@@ -1,7 +1,7 @@
-"""Engine state persistence: warm starts across processes.
+"""Engine state: what a warm start carries, and the legacy JSON import.
 
-A long-lived checker accumulates three kinds of routing knowledge that
-died with the process before this module existed:
+A long-lived checker accumulates routing knowledge that would otherwise
+die with the process:
 
 * **per-schema plan caches** — the planner's routing decisions, keyed by
   feature signature on each :class:`~repro.engine.registry.SchemaArtifacts`;
@@ -16,20 +16,22 @@ died with the process before this module existed:
   (``affinity``, ``lane_queue_depth``) plus the hygiene knobs, so a
   tuned deployment keeps its configuration across processes.
 
-``save_state``/``load_state`` serialize them into a ``--state-dir``
-alongside batch results, so a cold process that has seen the workload
-before builds **zero** plans and re-decides nothing the cache still
-covers.  Loading is forgiving: a missing directory is empty state, and a
-corrupt file is skipped with a warning rather than failing the run —
-state is an optimization, never a correctness requirement.
+The shared SQLite tier (:mod:`repro.engine.statetier`, ``--state-tier``)
+persists all of it; :class:`PersistedState` is the shape both its loads
+and the import below produce.  Earlier releases wrote the same content
+as a directory of JSON files; :func:`load_state` reads such a directory
+once, when a tier is first created on top of it.  Loading is forgiving:
+a missing directory is empty state, and a corrupt file is skipped with
+a warning rather than failing the run — state is an optimization, never
+a correctness requirement.
 
-**Hygiene.**  Without bounds the files grow with the workload: every
-distinct question ever decided stays in ``decisions.json`` and every
-plan ever executed keeps a telemetry row.  ``save_state`` therefore caps
-persisted decisions **per schema** (newest entries win) and ages out
-telemetry rows whose newest observation is older than
-``telemetry_max_age_days`` — both tunable, both purely size/freshness
-trims that can cost warm-start coverage but never correctness.
+**Hygiene.**  Without bounds persisted state grows with the workload:
+every distinct question ever decided and every plan ever executed.  A
+save therefore caps persisted decisions **per schema** (newest entries
+win, :func:`cap_decision_records`) and ages out telemetry rows whose
+newest observation is older than ``telemetry_max_age_days`` — both
+tunable, both purely size/freshness trims that can cost warm-start
+coverage but never correctness.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from repro.sat.telemetry import PlanTelemetry
 
 _LOG = get_logger("repro.engine.state")
 
-#: bump when the on-disk layout changes; mismatched files are skipped
+#: the legacy JSON layout's version; mismatched files are skipped
 STATE_VERSION = 1
 
 PLANS_FILE = "plans.json"
@@ -54,11 +56,10 @@ TELEMETRY_FILE = "telemetry.json"
 COST_MODEL_FILE = "cost_model.json"
 DECISIONS_FILE = "decisions.json"
 SCHEDULER_FILE = "scheduler.json"
-#: snapshot of the last run's EngineStats (machine consumers:
-#: ``repro stats --json --plans``)
+#: snapshot of the last run's EngineStats
 ENGINE_STATS_FILE = "engine_stats.json"
-#: Prometheus text-format snapshot of the unified metrics registry
-#: (not JSON and not version-wrapped: a textfile collector reads it raw)
+#: Prometheus text-format snapshot of the unified metrics registry,
+#: written next to the tier's database (a textfile collector reads it raw)
 METRICS_FILE = "metrics.prom"
 
 
@@ -84,14 +85,6 @@ def _atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def _atomic_write_json(path: str, payload: dict[str, Any]) -> None:
-    """Serialize ``payload`` and :func:`_atomic_write_text` it — the one
-    write path every state file goes through."""
-    _atomic_write_text(
-        path, json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    )
-
-
 def _warn(warnings: list[str], message: str) -> None:
     """Record a degrade message both ways: the ``warnings`` list keeps
     the API contract (callers can inspect what was skipped), and the
@@ -100,8 +93,8 @@ def _warn(warnings: list[str], message: str) -> None:
     _LOG.warning(message)
 
 
-#: scheduler tunables accepted from a persisted ``scheduler.json``:
-#: name -> validator returning the coerced value or raising
+#: persisted scheduler tunables: name -> validator returning the
+#: coerced value or raising
 _SCHEDULER_TUNABLES = {
     "group_by_plan": lambda value: _strict_bool(value),
     "group_chunk_size": lambda value: _positive_int(value),
@@ -140,7 +133,7 @@ def _positive_float(value) -> float:
 
 @dataclass
 class PersistedState:
-    """Everything ``load_state`` recovered from a state directory."""
+    """Everything a tier load (or the JSON import) recovered."""
 
     plans: dict[str, dict[str, Plan]] = field(default_factory=dict)  # fingerprint -> sig -> Plan
     plan_names: dict[str, str] = field(default_factory=dict)         # fingerprint -> schema name
@@ -180,8 +173,9 @@ def _read_json(path: str, warnings: list[str]) -> dict[str, Any] | None:
 
 
 def load_state(state_dir: str) -> PersistedState:
-    """Load persisted engine state from ``state_dir`` (missing pieces and
-    corrupt files degrade to empty state, recorded in ``warnings``)."""
+    """Read a legacy JSON state directory (the tier's one-time import;
+    missing pieces and corrupt files degrade to empty state, recorded in
+    ``warnings``)."""
     state = PersistedState()
     if not os.path.isdir(state_dir):
         return state
@@ -266,7 +260,7 @@ def load_state(state_dir: str) -> PersistedState:
 
 
 def cap_decision_records(records: list, cap: int) -> list:
-    """State-dir hygiene: keep at most ``cap`` persisted decisions per
+    """Persistence hygiene: keep at most ``cap`` persisted decisions per
     schema fingerprint.  ``records`` is :meth:`DecisionCache.to_records`
     output (LRU order, oldest first); the newest entries per schema win
     and the surviving records keep their relative order, so a reloaded
@@ -284,72 +278,3 @@ def cap_decision_records(records: list, cap: int) -> list:
         kept.append(item)
     kept.reverse()
     return kept
-
-
-def save_state(
-    state_dir: str,
-    *,
-    registry=None,
-    telemetry: PlanTelemetry | None = None,
-    cost_model: CostModel | None = None,
-    cache=None,
-    scheduler: dict[str, Any] | None = None,
-    decision_cap_per_schema: int | None = None,
-    telemetry_max_age_days: float | None = None,
-    engine_stats: dict[str, Any] | None = None,
-    metrics_text: str | None = None,
-) -> None:
-    """Serialize the given engine components into ``state_dir`` (created
-    if missing).  Pieces passed as ``None`` are left untouched on disk.
-
-    ``decision_cap_per_schema`` and ``telemetry_max_age_days`` apply the
-    hygiene trims (see the module docstring) to what is *written*; the
-    in-memory cache and telemetry are never mutated.  ``engine_stats``
-    (an ``EngineStats.as_dict()`` snapshot) and ``metrics_text`` (a
-    rendered Prometheus textfile) are observability exports riding along
-    with the state."""
-    os.makedirs(state_dir, exist_ok=True)
-
-    def write(name: str, payload: dict[str, Any]) -> None:
-        _atomic_write_json(
-            os.path.join(state_dir, name),
-            {"version": STATE_VERSION, **payload},
-        )
-
-    if registry is not None:
-        # plan_records() folds in plans adopted for schemas this run
-        # never registered, so workloads sharing a state dir do not
-        # erase each other's warm plans
-        schemas: dict[str, Any] = {
-            fingerprint: {
-                "name": name,
-                "plans": {
-                    signature: plan.to_dict()
-                    for signature, plan in sorted(per_schema.items())
-                },
-            }
-            for fingerprint, (name, per_schema)
-            in registry.plan_records().items()
-        }
-        write(PLANS_FILE, {"schemas": schemas})
-    if telemetry is not None:
-        if telemetry_max_age_days is not None:
-            # prune a rebuilt copy so the live engine keeps its rows
-            aged = PlanTelemetry.from_dict(telemetry.to_dict())
-            aged.prune(telemetry_max_age_days * 86400.0)
-            write(TELEMETRY_FILE, aged.to_dict())
-        else:
-            write(TELEMETRY_FILE, telemetry.to_dict())
-    if cost_model is not None:
-        write(COST_MODEL_FILE, cost_model.to_dict())
-    if cache is not None:
-        records = cache.to_records()
-        if decision_cap_per_schema is not None:
-            records = cap_decision_records(records, decision_cap_per_schema)
-        write(DECISIONS_FILE, {"entries": records})
-    if scheduler is not None:
-        write(SCHEDULER_FILE, dict(scheduler))
-    if engine_stats is not None:
-        write(ENGINE_STATS_FILE, {"stats": dict(engine_stats)})
-    if metrics_text is not None:
-        _atomic_write_text(os.path.join(state_dir, METRICS_FILE), metrics_text)

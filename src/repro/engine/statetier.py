@@ -1,12 +1,9 @@
-"""Shared engine state tier: one SQLite database, many engine processes.
+"""Engine state tier: one SQLite database, any number of engine processes.
 
-The JSON state dir (:mod:`repro.engine.state`) is a whole-file snapshot:
-correct for one process, lossy for a fleet — N engines sharing a
-``--state-dir`` clobber each other's plans and cost samples on every
-save.  :class:`StateTier` keeps the same *content* (plans, per-plan
-telemetry, cost-model cells, cached decisions, scheduler tunables,
-engine stats) in a single SQLite database that any number of processes
-on the host read and write concurrently:
+:class:`StateTier` is where an engine persists its state (plans,
+per-plan telemetry, cost-model cells, cached decisions, scheduler
+tunables, engine stats; see :mod:`repro.engine.state`) — one process
+or a whole fleet, which read and write the database concurrently:
 
 * **WAL mode** so readers never block the writer and vice versa, with a
   ``busy_timeout`` plus a bounded retry loop around every write
@@ -33,10 +30,10 @@ on the host read and write concurrently:
 ``--state-tier PATH`` accepts either a database file (``*.sqlite`` /
 ``*.db``) or a directory, where the database lives at
 ``<dir>/state.sqlite``.  Pointing the tier at a **legacy JSON state
-dir** migrates it automatically on first open: the JSON files are read
-through :func:`repro.engine.state.load_state` and imported losslessly
-(they are left in place, untouched).  ``metrics.prom`` keeps being
-written next to the database so textfile collectors need no change.
+directory** imports it automatically on first open: the JSON files are
+read through :func:`repro.engine.state.load_state` and imported
+losslessly (they are left in place, untouched).  Every save also writes
+``metrics.prom`` next to the database for textfile collectors.
 """
 
 from __future__ import annotations
@@ -292,11 +289,12 @@ class StateTier:
 
     # -- legacy JSON migration ----------------------------------------------
     def _migrate_legacy_json(self, directory: str) -> None:
-        """One-time import of a JSON state dir living next to a freshly
-        created database (``--state-tier state/`` over an old
-        ``--state-dir state/``).  The JSON files are read through the
-        forgiving :func:`~repro.engine.state.load_state` and left on
-        disk untouched."""
+        """One-time import of a legacy JSON state dir living next to a
+        freshly created database (``--state-tier state/`` over a
+        directory an earlier release wrote with ``--state-dir state/``).
+        The JSON files are read through the forgiving
+        :func:`~repro.engine.state.load_state` and left on disk
+        untouched."""
         if not any(
             os.path.exists(os.path.join(directory, name))
             for name in _LEGACY_FILES
@@ -339,10 +337,9 @@ class StateTier:
 
     # -- load ----------------------------------------------------------------
     def load(self) -> PersistedState:
-        """Read everything into a :class:`PersistedState` — the same
-        shape :func:`repro.engine.state.load_state` returns, so the
-        engine adopts tier state through the existing code path.
-        Malformed rows degrade to warnings, never failures."""
+        """Read everything into a :class:`PersistedState` (the shape the
+        engine adopts).  Malformed rows degrade to warnings, never
+        failures."""
         with self._lock:
             self._require_open()
             state = self._with_retry("load", self._read_state)
@@ -513,12 +510,19 @@ class StateTier:
         engine_stats: dict[str, Any] | None = None,
         metrics_text: str | None = None,
     ) -> None:
-        """Persist the given engine components — the same signature as
-        :func:`repro.engine.state.save_state`, applied with the tier's
-        consistency model (LWW per key, monotonic cost merge, hygiene
-        caps enforced in the database).  One ``BEGIN IMMEDIATE``
-        transaction, retried on lock contention."""
+        """Persist the given engine components (``None`` pieces are left
+        as stored) with the tier's consistency model: LWW per key,
+        monotonic cost merge, hygiene caps enforced in the database.
+        One ``BEGIN IMMEDIATE`` transaction, retried on lock contention.
+        ``metrics_text`` (a rendered Prometheus textfile) lands in
+        ``metrics.prom`` next to the database."""
         plan_records = registry.plan_records() if registry is not None else None
+        if telemetry is not None and telemetry_max_age_days is not None:
+            # rows this process has not observed within the window are
+            # not written; prune a rebuilt copy so the live engine keeps
+            # its rows
+            telemetry = PlanTelemetry.from_dict(telemetry.to_dict())
+            telemetry.prune(telemetry_max_age_days * 86400.0)
         decision_records = None
         if cache is not None:
             decision_records = cache.to_records()
@@ -675,7 +679,7 @@ class StateTier:
                 if decision_cap_per_schema is not None:
                     # enforce the per-schema cap on the *shared* table:
                     # newest rows win, same rule cap_decision_records
-                    # applies to the JSON file
+                    # applies to one process's records
                     for fingerprint in sorted(touched_fingerprints):
                         conn.execute(
                             "DELETE FROM decisions WHERE fingerprint = ? AND "
@@ -725,7 +729,7 @@ class StateTier:
 
     # -- observability -------------------------------------------------------
     def register_metrics(self, registry) -> None:
-        for name, attr, help_text in (
+        registry.counters("repro_tier", self, (
             ("loads", "loads", "full state loads from the shared tier"),
             ("saves", "saves", "state snapshots written to the shared tier"),
             ("rows_read", "rows_read", "rows read from the shared tier"),
@@ -739,7 +743,4 @@ class StateTier:
              "write transactions retried on lock contention"),
             ("migrated_records", "migrated_records",
              "records imported from a legacy JSON state dir"),
-        ):
-            registry.counter(f"repro_tier_{name}_total", help_text).inc(
-                getattr(self, attr)
-            )
+        ))

@@ -11,8 +11,8 @@ renders the whole set two ways:
 * :meth:`MetricsRegistry.as_dict` — nested JSON for machine consumers
   (``repro stats --json``);
 * :meth:`MetricsRegistry.render_prometheus` — the Prometheus text
-  exposition format, written as a textfile snapshot into the engine's
-  state dir (``metrics.prom``) on every ``save_state``, ready for a
+  exposition format, written as a textfile snapshot next to the engine's
+  state tier (``metrics.prom``) on every ``save_state``, ready for a
   node-exporter textfile collector.
 
 Instruments are snapshot-oriented: the engine builds a fresh registry
@@ -171,6 +171,14 @@ class MetricsRegistry:
         self, name: str, help: str = "", labels: dict[str, str] | None = None
     ) -> Gauge:
         return self._instrument("gauge", name, help, labels, Gauge)
+
+    def counters(self, prefix: str, source: Any, rows) -> None:
+        """One ``{prefix}_{name}_total`` counter per ``(name, attribute,
+        help)`` row, valued from ``source``'s attribute."""
+        for name, attr, help_text in rows:
+            self.counter(f"{prefix}_{name}_total", help_text).inc(
+                getattr(source, attr)
+            )
 
     def histogram(
         self,

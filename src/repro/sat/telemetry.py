@@ -7,7 +7,7 @@ decision lands in one :class:`PlanStats` accumulator — decision latency
 verdict mix, which chain member actually answered, and how often the
 primary had to fall back.  :class:`PlanTelemetry` holds the per-plan
 table, merges across engines/processes, serializes for the engine's
-``--state-dir`` persistence, and renders the ``repro stats --plans``
+``--state-tier`` persistence, and renders the ``repro stats --plans``
 report.
 
 The measured latencies feed the planner's cost model
@@ -281,7 +281,7 @@ class PlanTelemetry:
 
     def prune(self, max_age_s: float, now: float | None = None) -> int:
         """Drop rows whose newest observation is older than ``max_age_s``
-        (state-dir hygiene: telemetry for workloads that stopped arriving
+        (persistence hygiene: telemetry for workloads that stopped arriving
         should not accumulate forever).  Rows without a ``last_seen``
         stamp (legacy persisted state) are kept.  Returns the number of
         rows removed."""

@@ -221,12 +221,12 @@ class TestBatch:
     def test_sigint_mid_run_saves_state_and_exits_130(
         self, schema_dir, jobs_file, tmp_path, monkeypatch, capsys
     ):
-        # a signal between passes must snapshot --state-dir (plans,
+        # a signal between passes must snapshot --state-tier (plans,
         # telemetry, cost samples) before exiting 128+SIGINT, not drop it
         import os
         import signal
 
-        from repro.engine import BatchEngine
+        from repro.engine import BatchEngine, StateTier
 
         state = tmp_path / "state"
         original = BatchEngine.run
@@ -239,14 +239,16 @@ class TestBatch:
         monkeypatch.setattr(BatchEngine, "run", interrupted)
         code = main([
             "batch", jobs_file, "--schema-dir", schema_dir,
-            "--state-dir", str(state), "--repeat", "3",
+            "--state-tier", str(state), "--repeat", "3",
         ])
         assert code == 130
         err = capsys.readouterr().err
         assert "SIGINT" in err
         assert f"state: saved to {state}" in err
-        assert (state / "plans.json").exists()
-        assert (state / "telemetry.json").exists()
+        with StateTier(str(state)) as tier:
+            saved = tier.load()
+        assert saved.plan_count >= 1
+        assert saved.telemetry is not None and len(saved.telemetry)
 
     def test_sigint_without_state_dir_still_exits_130(
         self, schema_dir, jobs_file, monkeypatch, capsys
@@ -334,24 +336,25 @@ class TestBatch:
     def test_affinity_flags_reach_engine_and_persist(
         self, schema_dir, jobs_file, tmp_path, capsys
     ):
-        from repro.engine.state import load_state
+        from repro.engine import StateTier
 
         state_dir = str(tmp_path / "state")
         code = main([
             "batch", jobs_file, "--schema-dir", schema_dir,
-            "--state-dir", state_dir,
+            "--state-tier", state_dir,
             "--no-affinity", "--lane-queue-depth", "2",
         ])
         assert code == 0
         out = capsys.readouterr().out
         assert "affinity off" in out
-        state = load_state(state_dir)
+        with StateTier(state_dir) as tier:
+            state = tier.load()
         assert state.scheduler["affinity"] is False
         assert state.scheduler["lane_queue_depth"] == 2
         # a rerun without the flags picks up the persisted setting
         code = main([
             "batch", jobs_file, "--schema-dir", schema_dir,
-            "--state-dir", state_dir,
+            "--state-tier", state_dir,
         ])
         assert code == 0
         assert "affinity off" in capsys.readouterr().out
@@ -376,7 +379,7 @@ class TestBatch:
 
 class TestStateDir:
     def test_warm_start_across_processes(self, schema_dir, jobs_file, tmp_path, capsys):
-        """Acceptance: batch run with --state-dir, then a new engine (fresh
+        """Acceptance: batch run with --state-tier, then a new engine (fresh
         process in production, fresh registry here) on the same corpus
         builds 0 plans and loads >= 1 persisted plan."""
         import json
@@ -385,7 +388,7 @@ class TestStateDir:
         cold_stats = str(tmp_path / "cold.json")
         code = main([
             "batch", jobs_file, "--schema-dir", schema_dir,
-            "--state-dir", state_dir, "--stats-json", cold_stats,
+            "--state-tier", state_dir, "--stats-json", cold_stats,
         ])
         assert code == 0
         assert "state: saved" in capsys.readouterr().out
@@ -393,7 +396,7 @@ class TestStateDir:
         warm_stats = str(tmp_path / "warm.json")
         code = main([
             "batch", jobs_file, "--schema-dir", schema_dir,
-            "--state-dir", state_dir, "--stats-json", warm_stats,
+            "--state-tier", state_dir, "--stats-json", warm_stats,
         ])
         assert code == 0
         out = capsys.readouterr().out
@@ -413,10 +416,10 @@ class TestStateDir:
         state_dir = str(tmp_path / "state")
         assert main([
             "batch", jobs_file, "--schema-dir", schema_dir,
-            "--state-dir", state_dir,
+            "--state-tier", state_dir,
         ]) == 0
         capsys.readouterr()
-        assert main(["stats", "--plans", "--state-dir", state_dir]) == 0
+        assert main(["stats", "--plans", "--state-tier", state_dir]) == 0
         out = capsys.readouterr().out
         assert "mean_ms" in out and "p50_ms" in out and "fb%" in out
         assert "sat" in out and "unsat" in out
@@ -427,7 +430,7 @@ class TestStateDir:
         state_dir.mkdir()
         code = main([
             "batch", jobs_file, "--schema-dir", schema_dir,
-            "--state-dir", str(state_dir),
+            "--state-tier", str(state_dir),
         ])
         assert code == 0
         assert "0 persisted plans" in capsys.readouterr().out
@@ -441,19 +444,20 @@ class TestStateDir:
         (state_dir / "telemetry.json").write_text('{"version": 42}')
         code = main([
             "batch", jobs_file, "--schema-dir", schema_dir,
-            "--state-dir", str(state_dir),
+            "--state-tier", str(state_dir),
         ])
         assert code == 0
         captured = capsys.readouterr()
         assert "unreadable" in captured.err
         assert "version" in captured.err
-        # the corrupt files were replaced by a fresh save
-        assert main(["stats", "--plans", "--state-dir", str(state_dir)]) == 0
+        # the corrupt JSON was imported as far as it was readable, and
+        # the tier holds the fresh save
+        assert main(["stats", "--plans", "--state-tier", str(state_dir)]) == 0
         assert "mean_ms" in capsys.readouterr().out
 
     def test_stats_plans_without_state_dir_exits_3(self, capsys):
         assert main(["stats", "--plans"]) == 3
-        assert "--state-dir" in capsys.readouterr().err
+        assert "--state-tier" in capsys.readouterr().err
 
     def test_stats_without_results_or_plans_exits_3(self, capsys):
         assert main(["stats"]) == 3
@@ -462,7 +466,7 @@ class TestStateDir:
     def test_stats_plans_empty_state_dir_reports_nothing(self, tmp_path, capsys):
         state_dir = tmp_path / "void"
         state_dir.mkdir()
-        assert main(["stats", "--plans", "--state-dir", str(state_dir)]) == 0
+        assert main(["stats", "--plans", "--state-tier", str(state_dir)]) == 0
         assert "no plan telemetry" in capsys.readouterr().out
 
     def test_explain_surfaces_persisted_telemetry(
@@ -474,13 +478,13 @@ class TestStateDir:
         state_dir = str(tmp_path / "state")
         assert main([
             "batch", jobs_file, "--schema-dir", schema_dir,
-            "--state-dir", state_dir,
+            "--state-tier", state_dir,
         ]) == 0
         capsys.readouterr()
         dtd_path = os.path.join(schema_dir, "main.dtd")
         assert main([
             "explain", "--json", "--dtd", dtd_path,
-            "--state-dir", state_dir, ".[B and C]",
+            "--state-tier", state_dir, ".[B and C]",
         ]) == 0
         record = json_module.loads(capsys.readouterr().out)
         # the main schema is duplicate-free, so the qualifier query takes
@@ -573,10 +577,10 @@ class TestObservability:
         state_dir = str(tmp_path / "state")
         assert main([
             "batch", jobs_file, "--schema-dir", schema_dir,
-            "--state-dir", state_dir,
+            "--state-tier", state_dir,
         ]) == 0
         capsys.readouterr()
-        assert main(["stats", "--plans", "--state-dir", state_dir, "--json"]) == 0
+        assert main(["stats", "--plans", "--state-tier", state_dir, "--json"]) == 0
         record = json.loads(capsys.readouterr().out)
         assert record["engine"]["jobs"] == 5
         assert record["plans"]

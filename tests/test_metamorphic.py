@@ -4,7 +4,7 @@ Telemetry, cost-based routing, plan-cache persistence, and plan-grouped
 scheduling are *performance* features: none of them may change a single
 verdict.  The tests here decide one corpus several ways — static
 ranking, cost-based ranking after calibration, a cold engine warmed from
-a persisted state directory, and the plan-grouped scheduler on/off — and
+a persisted state tier, and the plan-grouped scheduler on/off — and
 require bit-identical verdicts (for grouping also bit-identical
 decision-cache contents and telemetry verdict mixes), plus unit coverage
 of the telemetry aggregator and the state serialization round trip.
@@ -17,8 +17,14 @@ import random
 import pytest
 
 from repro.dtd import parse_dtd
-from repro.engine import BatchEngine, DecisionCache, EngineStats, SchemaRegistry
-from repro.engine.state import load_state, save_state
+from repro.engine import (
+    BatchEngine,
+    DecisionCache,
+    EngineStats,
+    SchemaRegistry,
+    StateTier,
+)
+from repro.engine.state import load_state
 from repro.sat import CostModel, Plan, PlanTelemetry, Planner, calibrate
 from repro.sat.costmodel import size_bucket
 from repro.sat.telemetry import PlanStats
@@ -66,6 +72,13 @@ def _verdicts(report):
     return [(result.id, result.satisfiable) for result in report.results]
 
 
+def _tier_state(path):
+    """What the state tier at ``path`` holds (a separate handle, as a
+    second process would open it)."""
+    with StateTier(path) as tier:
+        return tier.load()
+
+
 class TestMetamorphicVerdicts:
     def test_cost_based_ranking_never_changes_verdicts(self):
         jobs = _corpus()
@@ -107,11 +120,11 @@ class TestMetamorphicVerdicts:
     def test_persisted_state_reload_never_changes_verdicts(self, tmp_path):
         state_dir = str(tmp_path / "state")
         jobs = _corpus(80)
-        warm_engine = BatchEngine(registry=_registry(), state_dir=state_dir)
+        warm_engine = BatchEngine(registry=_registry(), state_tier=state_dir)
         baseline = _verdicts(warm_engine.run(jobs))
         warm_engine.save_state()
 
-        cold_engine = BatchEngine(registry=_registry(), state_dir=state_dir)
+        cold_engine = BatchEngine(registry=_registry(), state_tier=state_dir)
         report = cold_engine.run(jobs)
         assert _verdicts(report) == baseline
         # the cold process planned nothing and re-decided nothing
@@ -121,12 +134,12 @@ class TestMetamorphicVerdicts:
 
     def test_persisted_plans_apply_to_schemas_registered_later(self, tmp_path):
         state_dir = str(tmp_path / "state")
-        engine = BatchEngine(registry=_registry(), state_dir=state_dir)
+        engine = BatchEngine(registry=_registry(), state_tier=state_dir)
         engine.run(_corpus(40))
         engine.save_state()
 
         # cold engine loads state BEFORE any schema is registered
-        cold = BatchEngine(state_dir=state_dir)
+        cold = BatchEngine(state_tier=state_dir)
         for name, dtd in _schemas().items():
             cold.registry.register(name, dtd)
         report = cold.run(_corpus(40))
@@ -291,16 +304,16 @@ class TestAffinityScheduling:
     def test_affinity_tunables_round_trip(self, tmp_path):
         state_dir = str(tmp_path / "state")
         engine = BatchEngine(
-            registry=_registry(), state_dir=state_dir,
+            registry=_registry(), state_tier=state_dir,
             affinity=False, lane_queue_depth=9,
         )
         engine.run(_corpus(10))
         engine.save_state()
-        reloaded = BatchEngine(registry=_registry(), state_dir=state_dir)
+        reloaded = BatchEngine(registry=_registry(), state_tier=state_dir)
         assert reloaded.affinity is False
         assert reloaded.lane_queue_depth == 9
         explicit = BatchEngine(
-            registry=_registry(), state_dir=state_dir, affinity=True
+            registry=_registry(), state_tier=state_dir, affinity=True
         )
         assert explicit.affinity is True
         assert explicit.lane_queue_depth == 9
@@ -365,14 +378,14 @@ class TestStatePersistence:
         state_dir = str(tmp_path / "state")
         engine = BatchEngine(registry=_registry())
         engine.run(_corpus(40))
-        save_state(
-            state_dir,
-            registry=engine.registry,
-            telemetry=engine.telemetry,
-            cost_model=engine.cost_model,
-            cache=engine.cache,
-        )
-        state = load_state(state_dir)
+        with StateTier(state_dir) as tier:
+            tier.save(
+                registry=engine.registry,
+                telemetry=engine.telemetry,
+                cost_model=engine.cost_model,
+                cache=engine.cache,
+            )
+        state = _tier_state(state_dir)
         assert not state.warnings
         assert state.plan_count == sum(
             len(artifacts.plan_cache) for artifacts in engine.registry
@@ -401,7 +414,7 @@ class TestStatePersistence:
         assert state.cost_model is None
         assert len(state.warnings) == 3
         # a corrupt state dir must not break the engine
-        engine = BatchEngine(registry=_registry(), state_dir=str(state_dir))
+        engine = BatchEngine(registry=_registry(), state_tier=str(state_dir))
         report = engine.run(_corpus(20))
         assert report.stats.errors == 0
 
@@ -460,14 +473,14 @@ class TestStateDirHygiene:
         state_dir = str(tmp_path / "state")
         jobs = _corpus(80)
         engine = BatchEngine(
-            registry=_registry(), state_dir=state_dir,
+            registry=_registry(), state_tier=state_dir,
             decision_cap_per_schema=5,
         )
         engine.run(jobs)
         assert len(engine.cache) > 10   # the cap only applies on save
         engine.save_state()
 
-        state = load_state(state_dir)
+        state = _tier_state(state_dir)
         per_schema = {}
         for (key, _record) in state.decisions:
             per_schema[key[1]] = per_schema.get(key[1], 0) + 1
@@ -478,7 +491,7 @@ class TestStateDirHygiene:
         # rerun re-decides only what the cap dropped, with identical
         # verdicts
         baseline = _verdicts(engine.run(jobs))
-        cold = BatchEngine(registry=_registry(), state_dir=state_dir)
+        cold = BatchEngine(registry=_registry(), state_tier=state_dir)
         report = cold.run(jobs)
         assert _verdicts(report) == baseline
         assert report.stats.planner_invocations == 0
@@ -488,7 +501,7 @@ class TestStateDirHygiene:
     def test_telemetry_rows_age_out_on_save(self, tmp_path):
         state_dir = str(tmp_path / "state")
         engine = BatchEngine(
-            registry=_registry(), state_dir=state_dir,
+            registry=_registry(), state_tier=state_dir,
             telemetry_max_age_days=7.0,
         )
         engine.run(_corpus(40))
@@ -497,7 +510,7 @@ class TestStateDirHygiene:
         stale_key = keys[0]
         engine.telemetry.get(stale_key).last_seen -= 8 * 86400.0
         engine.save_state()
-        state = load_state(state_dir)
+        state = _tier_state(state_dir)
         assert state.telemetry is not None
         assert stale_key not in state.telemetry
         for key in keys[1:]:
@@ -523,24 +536,24 @@ class TestStateDirHygiene:
     def test_scheduler_tunables_round_trip(self, tmp_path):
         state_dir = str(tmp_path / "state")
         engine = BatchEngine(
-            registry=_registry(), state_dir=state_dir,
+            registry=_registry(), state_tier=state_dir,
             group_by_plan=False, group_chunk_size=7,
             decision_cap_per_schema=64, telemetry_max_age_days=3.0,
         )
         engine.run(_corpus(20))
         engine.save_state()
-        state = load_state(state_dir)
+        state = _tier_state(state_dir)
         assert state.scheduler == {
             "group_by_plan": False, "group_chunk_size": 7,
             "decision_cap_per_schema": 64, "telemetry_max_age_days": 3.0,
             "affinity": True, "lane_queue_depth": 4,
         }
-        reloaded = BatchEngine(registry=_registry(), state_dir=state_dir)
+        reloaded = BatchEngine(registry=_registry(), state_tier=state_dir)
         assert reloaded.group_by_plan is False
         assert reloaded.group_chunk_size == 7
         # explicit constructor settings beat persisted ones
         explicit = BatchEngine(
-            registry=_registry(), state_dir=state_dir, group_by_plan=True
+            registry=_registry(), state_tier=state_dir, group_by_plan=True
         )
         assert explicit.group_by_plan is True
         assert explicit.group_chunk_size == 7
@@ -557,7 +570,7 @@ class TestStateDirHygiene:
         state = load_state(str(state_dir))
         assert state.scheduler == {"group_by_plan": True}
         assert len(state.warnings) == 2
-        engine = BatchEngine(registry=_registry(), state_dir=str(state_dir))
+        engine = BatchEngine(registry=_registry(), state_tier=str(state_dir))
         assert engine.group_chunk_size == 16   # default, bad value ignored
         assert engine.run(_corpus(10)).stats.errors == 0
 
@@ -781,19 +794,19 @@ class TestStateDirSharing:
         state_dir = str(tmp_path / "state")
         schemas = _schemas()
 
-        first = BatchEngine(state_dir=state_dir)
+        first = BatchEngine(state_tier=state_dir)
         first.registry.register("tiny", schemas["tiny"])
         first.run([("A[not(B)]", "tiny"), ("B | C", "tiny")])
         tiny_plans = sum(len(a.plan_cache) for a in first.registry)
         assert tiny_plans >= 1
         first.save_state()
 
-        second = BatchEngine(state_dir=state_dir)
+        second = BatchEngine(state_tier=state_dir)
         second.registry.register("doc", schemas["doc"])
         second.run([("title", "doc")])
         second.save_state()
 
-        third = BatchEngine(state_dir=state_dir)
+        third = BatchEngine(state_tier=state_dir)
         third.registry.register("tiny", schemas["tiny"])
         report = third.run([("A[not(B)]", "tiny"), ("B | C", "tiny")])
         assert report.stats.planner_invocations == 0
@@ -803,12 +816,12 @@ class TestStateDirSharing:
         """A schema registered after retune() must be replanned, not
         handed a stale persisted plan."""
         state_dir = str(tmp_path / "state")
-        first = BatchEngine(state_dir=state_dir)
+        first = BatchEngine(state_tier=state_dir)
         first.registry.register("tiny", _schemas()["tiny"])
         first.run([("A[not(B)]", "tiny")])
         first.save_state()
 
-        second = BatchEngine(state_dir=state_dir)  # tiny not yet registered
+        second = BatchEngine(state_tier=state_dir)  # tiny not yet registered
         assert second.retune() >= 1
         second.cache.clear()  # the persisted decisions would answer first
         second.registry.register("tiny", _schemas()["tiny"])
@@ -847,6 +860,6 @@ class TestStateDirSharing:
         assert state.cost_model is not None       # clamped + bad entry skipped
         assert len(state.cost_model) == 0
         assert state.telemetry is not None and len(state.telemetry) == 0
-        engine = BatchEngine(registry=_registry(), state_dir=str(state_dir))
+        engine = BatchEngine(registry=_registry(), state_tier=str(state_dir))
         report = engine.run([("A[not(B)]", "tiny")])
         assert report.stats.errors == 0

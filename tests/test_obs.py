@@ -398,7 +398,7 @@ class TestEngineTracing:
 
     def test_metrics_snapshot_written_to_state_dir(self, registry, tmp_path):
         state_dir = str(tmp_path / "state")
-        engine, _, _ = traced_engine(registry, state_dir=state_dir)
+        engine, _, _ = traced_engine(registry, state_tier=state_dir)
         engine.run([Job(q, "disjfree") for q in HEAVY[:2]])
         engine.save_state()
         text = (tmp_path / "state" / METRICS_FILE).read_text()
@@ -408,13 +408,15 @@ class TestEngineTracing:
         assert "repro_plan_latency_ms_bucket" in text
 
     def test_engine_stats_persisted_and_reloaded(self, registry, tmp_path):
-        from repro.engine.state import load_state
+        from repro.engine import StateTier
 
         state_dir = str(tmp_path / "state")
-        engine = BatchEngine(registry=registry, state_dir=state_dir)
+        engine = BatchEngine(registry=registry, state_tier=state_dir)
         engine.run([Job("A", "disjfree")])
         engine.save_state()
-        state = load_state(state_dir)
+        engine.close()
+        with StateTier(state_dir) as tier:
+            state = tier.load()
         assert state.engine_stats is not None
         assert state.engine_stats["jobs"] == 1
 

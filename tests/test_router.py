@@ -21,13 +21,8 @@ import pytest
 
 import repro
 from repro.engine import BatchEngine, Job, SchemaRegistry
-from repro.engine.router import (
-    EngineRouter,
-    RouterStats,
-    _ClientConn,
-    _Pending,
-    pick_shard,
-)
+from repro.engine.frontdoor import Connection
+from repro.engine.router import EngineRouter, RouterStats, pick_shard
 from repro.errors import EngineError
 
 CATALOG_DTD = """
@@ -140,12 +135,6 @@ def _bare_router(**overrides) -> EngineRouter:
 
 
 class TestRouterConfig:
-    def test_requires_exactly_one_endpoint(self):
-        with pytest.raises(EngineError, match="exactly one endpoint"):
-            EngineRouter(workers=2)
-        with pytest.raises(EngineError, match="exactly one endpoint"):
-            EngineRouter(workers=2, socket_path="x.sock", port=7000)
-
     def test_requires_at_least_one_worker(self):
         with pytest.raises(EngineError, match="at least one worker"):
             EngineRouter(workers=0, socket_path="x.sock")
@@ -167,7 +156,7 @@ class TestRouterConfig:
 class TestExactlyOnceFanIn:
     def test_duplicate_response_fans_back_once(self):
         router = _bare_router()
-        conn = _ClientConn(1)
+        conn = Connection(1)
         router._ingest(conn, b'{"query": "A", "schema": "s", "id": "j1"}\n')
         assert conn.inflight == 1
         (shard,) = [s for s in router.shards if s.inflight]
@@ -182,32 +171,35 @@ class TestExactlyOnceFanIn:
 
     def test_jobs_without_id_get_the_query_text_back(self):
         router = _bare_router()
-        conn = _ClientConn(1)
+        conn = Connection(1)
         router._ingest(conn, b'{"query": "A[B]"}\n')
         (shard,) = [s for s in router.shards if s.inflight]
         (token,) = shard.inflight
         router._absorb(shard, {"id": token, "satisfiable": False})
         assert conn.out_queue.get_nowait()["id"] == "A[B]"
 
-    def test_invalid_line_is_answered_not_routed(self):
+    def test_worker_error_record_reaches_the_client(self):
+        # a serve worker's per-job error record carries the job's token;
+        # it must fan back (with the client's id) and settle the job
         router = _bare_router()
-        conn = _ClientConn(1)
-        router._ingest(conn, b'{"query": 5}\n')
-        assert router.stats.invalid_lines == 1
-        assert router.stats.jobs_routed == 0
-        assert conn.out_queue.get_nowait()["status"] == "error"
-        assert not any(shard.inflight for shard in router.shards)
-
-    def test_blank_and_comment_lines_are_ignored(self):
-        router = _bare_router()
-        conn = _ClientConn(1)
-        router._ingest(conn, b"\n")
-        router._ingest(conn, b"# note\n")
-        assert conn.out_queue.empty()
+        conn = Connection(1)
+        router._ingest(conn, b'{"query": "A", "schema": "s", "id": "j1"}\n')
+        (shard,) = [s for s in router.shards if s.inflight]
+        (token,) = shard.inflight
+        router._absorb(
+            shard, {"id": token, "status": "error", "error": "engine failed"}
+        )
+        assert conn.out_queue.get_nowait() == {
+            "id": "j1", "status": "error", "error": "engine failed",
+        }
+        assert conn.inflight == 0 and not shard.inflight
+        conn.eof = True
+        conn.kick()
+        assert conn.drained.is_set()
 
     def test_same_schema_lands_on_one_shard(self):
         router = _bare_router(workers=4)
-        conn = _ClientConn(1)
+        conn = Connection(1)
         for i in range(6):
             router._ingest(
                 conn,
@@ -222,7 +214,7 @@ class TestExactlyOnceFanIn:
 
         async def scenario():
             router = _bare_router()
-            conn = _ClientConn(1)
+            conn = Connection(1)
             router._ingest(conn, b'{"query": "A", "schema": "s", "id": "j1"}\n')
             (shard,) = [s for s in router.shards if s.inflight]
             (token,) = shard.inflight
@@ -240,7 +232,7 @@ class TestExactlyOnceFanIn:
 
     def test_metrics_registry_renders_router_gauges(self):
         router = _bare_router()
-        conn = _ClientConn(1)
+        conn = Connection(1)
         router._ingest(conn, b'{"query": "A", "schema": "s"}\n')
         rendered = router.metrics_registry().render_prometheus()
         assert "repro_router_jobs_total 1" in rendered

@@ -1,12 +1,15 @@
 """Tests for the serving daemon (:mod:`repro.engine.server`).
 
-In-process tests drive the admission-control and stats layers directly;
-the smoke tests fork a real ``python -m repro serve`` daemon on a unix
-socket and speak the JSONL protocol over concurrent client connections.
+In-process tests drive the admission-control, batch and stats layers
+directly; the smoke tests fork a real ``python -m repro serve`` daemon
+on a unix socket and speak the JSONL protocol over concurrent client
+connections.  Protocol cases shared with ``route`` live in
+``test_frontdoor.py``.
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
 import os
 import signal
@@ -19,9 +22,10 @@ import time
 import pytest
 
 import repro
-from repro.engine import BatchEngine, EngineServer, SchemaRegistry
-from repro.engine.server import ServerStats, _Connection
+from repro.engine import BatchEngine, EngineServer, Job, SchemaRegistry
+from repro.engine.server import _Connection
 from repro.errors import EngineError
+from repro.sat.telemetry import LATENCY_BUCKETS_MS
 
 DTD_TEXT = """
 root r
@@ -45,12 +49,6 @@ def engine():
 # -- construction and admission control ------------------------------------------
 
 class TestServerConfig:
-    def test_requires_exactly_one_endpoint(self, engine):
-        with pytest.raises(EngineError, match="exactly one endpoint"):
-            EngineServer(engine)
-        with pytest.raises(EngineError, match="exactly one endpoint"):
-            EngineServer(engine, socket_path="x.sock", port=7000)
-
     def test_rejects_bad_tunables(self, engine):
         with pytest.raises(EngineError, match="max_batch"):
             EngineServer(engine, port=0, max_batch=0)
@@ -75,24 +73,6 @@ class TestServerConfig:
 
 
 class TestAdmissionControl:
-    def test_invalid_line_gets_error_response(self, engine):
-        server = EngineServer(engine, port=0)
-        conn = _Connection(1)
-        server._ingest(conn, b'{"query": 5}\n')
-        record = conn.out_queue.get_nowait()
-        assert record["status"] == "error"
-        assert server.stats.invalid_lines == 1
-        assert server.stats.inflight_jobs == 0
-        assert not conn.pending
-
-    def test_blank_and_comment_lines_are_ignored(self, engine):
-        server = EngineServer(engine, port=0)
-        conn = _Connection(1)
-        server._ingest(conn, b"\n")
-        server._ingest(conn, b"# a comment\n")
-        assert conn.out_queue.empty()
-        assert not conn.pending
-
     def test_backpressure_sheds_with_retry(self, engine):
         server = EngineServer(engine, port=0, max_inflight=1)
         conn = _Connection(1)
@@ -115,6 +95,61 @@ class TestAdmissionControl:
         server.stats.snapshots = 3
         rendered = engine.metrics_registry().render_prometheus()
         assert "repro_server_snapshots_total 3" in rendered
+
+
+def _run_batches(server: EngineServer, conn: _Connection, batches) -> None:
+    """Dispatch each batch through the server's engine thread, as the
+    per-connection batch loop does."""
+
+    async def scenario() -> None:
+        await server._start()
+        try:
+            for batch in batches:
+                conn.inflight += len(batch)
+                server.stats.inflight_jobs += len(batch)
+                await server._run_batch(conn, batch, None)
+        finally:
+            server._engine_thread.shutdown(wait=True)
+
+    asyncio.run(scenario())
+
+
+class TestBatches:
+    def test_engine_failure_mid_batch_answers_each_job_by_id(self, engine):
+        real_run = engine.run
+
+        def fail_after_first(jobs, on_result=None):
+            real_run(jobs[:1], on_result)
+            raise EngineError("lane pool exploded")
+
+        engine.run = fail_after_first
+        server = EngineServer(engine, port=0)
+        conn = _Connection(1)
+        batch = [
+            Job("A", "catalog", "j1"), Job("B", "catalog", "j2"), Job("C", "catalog"),
+        ]
+        _run_batches(server, conn, [batch])
+        records = [conn.out_queue.get_nowait() for _ in range(3)]
+        assert conn.out_queue.empty()
+        assert [record["id"] for record in records] == ["j1", "j2", "C"]
+        assert records[0]["satisfiable"] is True
+        for record in records[1:]:
+            assert record["status"] == "error"
+            assert record["error"] == "lane pool exploded"
+        assert server.stats.inflight_jobs == 0
+        assert conn.inflight == 0
+
+    def test_batch_latency_state_is_fixed_size(self, engine):
+        server = EngineServer(engine, port=0)
+        conn = _Connection(1)
+        buckets = len(server.stats.batch_ms.buckets)
+        _run_batches(server, conn, [[Job("A", "catalog")]] * 40)
+        assert len(server.stats.batch_ms.buckets) == buckets
+        assert len(LATENCY_BUCKETS_MS) + 1 == buckets
+        rendered = engine.metrics_registry().render_prometheus()
+        assert "repro_server_batch_ms_count 40" in rendered
+        assert 'repro_server_batch_ms_bucket{le="+Inf"} 40' in rendered
+        assert "repro_server_batches_total 40" in rendered
 
 
 # -- end-to-end smoke over a unix socket -----------------------------------------
@@ -145,7 +180,7 @@ class TestServeSmoke:
             [
                 sys.executable, "-m", "repro", "serve",
                 "--socket", sock, "--schema", f"catalog={dtd}",
-                "--state-dir", state,
+                "--state-tier", state,
             ],
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
             env=env, cwd=str(tmp_path), text=True,

@@ -1,9 +1,10 @@
 """Tests for the shared SQLite state tier (:mod:`repro.engine.statetier`).
 
 Covers the tier's consistency model (LWW per key, monotonic cost-sample
-merge, decay hygiene), crash-safety of the atomic JSON writes it
-replaced, warm starts through the tier, concurrent multi-process
-writers, legacy JSON-dir migration, and version/corruption handling.
+merge, decay hygiene), crash-safety of the atomic file write beside it
+(``metrics.prom``), warm starts through the tier, concurrent
+multi-process writers, legacy JSON-dir migration, and
+version/corruption handling.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import shutil
 import sqlite3
 
 import pytest
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.engine import BatchEngine, Job, SchemaRegistry, StateTier
-from repro.engine.state import _atomic_write_json, load_state
+from repro.engine.state import METRICS_FILE, _atomic_write_text, load_state
 from repro.engine.statetier import TIER_FILENAME, resolve_tier_path
 from repro.errors import EngineError
 from repro.sat.costmodel import CostModel
@@ -42,6 +44,12 @@ text -> eps
 
 QUERIES = ["A", "B", ".[B and C]", "A[not(B)]", "r//A", "^/A"]
 
+#: a JSON state dir as the pre-tier JSON writer left it after one run of
+#: _jobs() over _registry() (committed once; the tier only imports it)
+LEGACY_STATE_DIR = os.path.join(
+    os.path.dirname(__file__), "data", "legacy_json_state"
+)
+
 
 def _registry() -> SchemaRegistry:
     registry = SchemaRegistry()
@@ -62,6 +70,13 @@ def _verdicts(report) -> list[tuple]:
     return [(r.id, r.satisfiable, r.method) for r in report.results]
 
 
+def _legacy_state_dir(tmp_path) -> str:
+    """A private copy of the committed legacy JSON state dir."""
+    state_dir = str(tmp_path / "state")
+    shutil.copytree(LEGACY_STATE_DIR, state_dir)
+    return state_dir
+
+
 # -- satellite: the one atomic-write helper --------------------------------------
 
 class TestAtomicWrite:
@@ -72,7 +87,7 @@ class TestAtomicWrite:
             os, "fsync", lambda fd: (synced.append(fd), real_fsync(fd))
         )
         path = str(tmp_path / "out.json")
-        _atomic_write_json(path, {"a": 1})
+        _atomic_write_text(path, json.dumps({"a": 1}))
         assert synced, "content must be fsynced before the rename"
         assert json.load(open(path)) == {"a": 1}
         assert not os.path.exists(path + ".tmp")
@@ -81,14 +96,14 @@ class TestAtomicWrite:
         self, tmp_path, monkeypatch
     ):
         path = str(tmp_path / "out.json")
-        _atomic_write_json(path, {"generation": 1})
+        _atomic_write_text(path, json.dumps({"generation": 1}))
 
         def explode(fd):
             raise OSError("disk gone")
 
         monkeypatch.setattr(os, "fsync", explode)
         with pytest.raises(OSError):
-            _atomic_write_json(path, {"generation": 2})
+            _atomic_write_text(path, json.dumps({"generation": 2}))
         # the crash never touched the published file, and the torn tmp
         # file was cleaned up
         assert json.load(open(path)) == {"generation": 1}
@@ -98,30 +113,31 @@ class TestAtomicWrite:
         self, tmp_path, monkeypatch
     ):
         state_dir = str(tmp_path / "state")
-        engine = BatchEngine(registry=_registry(), state_dir=state_dir)
+        engine = BatchEngine(registry=_registry(), state_tier=state_dir)
         engine.run(_jobs())
         engine.save_state()
-        before = load_state(state_dir)
+        with StateTier(state_dir) as tier:
+            before = tier.load()
         assert before.plan_count >= 1
+        metrics_path = os.path.join(state_dir, METRICS_FILE)
+        metrics_before = open(metrics_path).read()
 
-        calls = {"n": 0}
-        real_fsync = os.fsync
-
-        def flaky(fd):
-            calls["n"] += 1
-            if calls["n"] >= 2:     # first file lands, the next crashes
-                raise OSError("injected")
-            return real_fsync(fd)
+        def crash(fd):
+            raise OSError("injected")
 
         engine.run(_jobs())
-        monkeypatch.setattr(os, "fsync", flaky)
+        monkeypatch.setattr(os, "fsync", crash)
         with pytest.raises(OSError):
             engine.save_state()
-        monkeypatch.setattr(os, "fsync", real_fsync)
-        # every file is either the old or the new generation — never torn
-        after = load_state(state_dir)
+        monkeypatch.undo()
+        # the database and the textfile are each the old or the new
+        # generation — never torn
+        with StateTier(state_dir) as tier:
+            after = tier.load()
         assert not after.warnings
         assert after.plan_count >= before.plan_count
+        assert open(metrics_path).read() == metrics_before
+        assert not os.path.exists(metrics_path + ".tmp")
         engine.close()
 
 
@@ -187,14 +203,6 @@ class TestTierBasics:
         state = tier.load()       # rebuilt empty but serviceable
         assert state.plan_count == 0
         tier.close()
-
-    def test_engine_rejects_both_targets(self, tmp_path):
-        with pytest.raises(EngineError, match="not both"):
-            BatchEngine(
-                registry=_registry(),
-                state_dir=str(tmp_path / "a"),
-                state_tier=str(tmp_path / "b"),
-            )
 
     def test_save_without_target_errors(self):
         engine = BatchEngine(registry=_registry())
@@ -463,12 +471,12 @@ class TestConcurrentWriters:
 
 class TestLegacyMigration:
     def test_json_dir_migrates_losslessly_on_first_open(self, tmp_path):
-        state_dir = str(tmp_path / "state")
-        engine = BatchEngine(registry=_registry(), state_dir=state_dir)
+        state_dir = _legacy_state_dir(tmp_path)
+        engine = BatchEngine(registry=_registry())
         baseline = _verdicts(engine.run(_jobs()))
-        engine.save_state()
         engine.close()
         legacy = load_state(state_dir)
+        assert legacy.plan_count >= 1 and not legacy.warnings
 
         tier = StateTier(state_dir)     # same directory: auto-migration
         assert tier.migrated_records > 0
@@ -500,11 +508,7 @@ class TestLegacyMigration:
         warm.close()
 
     def test_migration_runs_only_once(self, tmp_path):
-        state_dir = str(tmp_path / "state")
-        engine = BatchEngine(registry=_registry(), state_dir=state_dir)
-        engine.run(_jobs())
-        engine.save_state()
-        engine.close()
+        state_dir = _legacy_state_dir(tmp_path)
         first = StateTier(state_dir)
         assert first.migrated_records > 0
         first.close()
