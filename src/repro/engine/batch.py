@@ -89,7 +89,7 @@ from repro.sat.planner import (
     Planner,
     execute_plan,
 )
-from repro.sat.registry import decider_backend, decider_traits, get_decider
+from repro.sat.registry import decider_traits, get_decider
 from repro.sat.telemetry import LATENCY_BUCKETS_MS, PlanTelemetry, verdict_name
 from repro.xpath.rewrite import get_pass
 from repro.xpath.ast import Path
@@ -228,10 +228,6 @@ class EngineStats:
     # cost-model epsilon-exploration probes run this pass (timing a
     # fallback chain member the normal path would never measure)
     explore_probes: int = 0
-    # answered decisions by the answering decider's kernel backend
-    # ("object" vs "bitset") — where a cost-model promotion of the
-    # packed kernels becomes visible at the engine level
-    backend_answers: dict[str, int] = field(default_factory=dict)
     # answered decisions whose answering decider is schema-trait gated,
     # keyed by decider name — the engine-level view of how much traffic
     # the real-world PTIME fast paths absorb instead of the EXPTIME lanes
@@ -317,7 +313,6 @@ class EngineStats:
                 str(lane): health for lane, health in self.lane_health().items()
             },
             "explore_probes": self.explore_probes,
-            "backend_answers": dict(self.backend_answers),
             "trait_routed_answers": dict(self.trait_routed_answers),
             "persisted_plans_loaded": self.persisted_plans_loaded,
             "persisted_decisions_loaded": self.persisted_decisions_loaded,
@@ -350,12 +345,6 @@ class EngineStats:
             f"{self.affinity_spills} spills, {self.lane_respawns} respawns, "
             f"{self.chunk_retries} chunk retries, "
             f"{self.executor_resets} executor resets",
-            f"backends      : " + (
-                ", ".join(
-                    f"{backend} {count}"
-                    for backend, count in sorted(self.backend_answers.items())
-                ) or "no answered decisions"
-            ),
             f"trait routing : " + (
                 ", ".join(
                     f"{decider} {count}"
@@ -408,12 +397,6 @@ class EngineStats:
             registry.counter(f"repro_{name}_total", help_text).inc(
                 getattr(self, name)
             )
-        for backend, count in sorted(self.backend_answers.items()):
-            registry.counter(
-                "repro_backend_answers_total",
-                "answered decisions by the answering decider's kernel backend",
-                {"backend": backend},
-            ).inc(count)
         for decider, count in sorted(self.trait_routed_answers.items()):
             registry.counter(
                 "repro_trait_routed_answers_total",
@@ -690,7 +673,9 @@ class BatchEngine:
         scheduler tunables (which fill every tunable the constructor left
         unset).  Returns the number of plans available from persistence."""
         self.state_warnings.extend(state.warnings)
-        self.registry.adopt_plans(state.plans, names=state.plan_names)
+        self.state_warnings.extend(
+            self.registry.adopt_plans(state.plans, names=state.plan_names)
+        )
         if state.telemetry is not None:
             self.telemetry.merge(state.telemetry)
         if state.cost_model is not None:
@@ -1627,15 +1612,10 @@ class BatchEngine:
                 group_size=trace.group_size, group_lead=trace.group_lead,
                 shared_setup=trace.shared_setup, runtime_hit=trace.runtime_hit,
             )
-            if trace.decider is not None:
-                backend = decider_backend(trace.decider)
-                stats.backend_answers[backend] = (
-                    stats.backend_answers.get(backend, 0) + 1
+            if trace.decider is not None and decider_traits(trace.decider):
+                stats.trait_routed_answers[trace.decider] = (
+                    stats.trait_routed_answers.get(trace.decider, 0) + 1
                 )
-                if decider_traits(trace.decider):
-                    stats.trait_routed_answers[trace.decider] = (
-                        stats.trait_routed_answers.get(trace.decider, 0) + 1
-                    )
         bucket = artifacts.cost_bucket if artifacts else size_bucket(None)
         for name, attempt_ms, outcome in trace.attempts:
             if outcome in ("sat", "unsat"):

@@ -27,7 +27,11 @@ from repro.dtd.normalize import NormalizationResult, normalize
 from repro.dtd.parser import parse_dtd
 from repro.dtd.properties import classify
 from repro.errors import EngineError
+from repro.obs.log import get_logger
 from repro.sat.planner import Plan
+from repro.sat.registry import all_deciders
+
+_LOG = get_logger("repro.engine.registry")
 
 
 def schema_fingerprint(dtd: DTD) -> str:
@@ -138,22 +142,41 @@ class SchemaRegistry:
         self,
         plans_by_fingerprint: dict[str, dict[str, Plan]],
         names: dict[str, str] | None = None,
-    ) -> int:
+    ) -> list[str]:
         """Warm plan caches from persisted state (``--state-tier``): plans
         for already-registered schemas are applied immediately, the rest
         wait for their schema's registration.  Existing cache entries win
-        (they were planned against the live cost model).  Returns the
-        number of plans applied right away."""
-        applied = 0
+        (they were planned against the live cost model).
+
+        A plan whose chain names a decider that is not registered (one
+        retired since the state was written, or disabled) is dropped, so
+        the planner rebuilds it on first use.  Returns one warning per
+        dropped plan."""
+        registered = {spec.name for spec in all_deciders()}
+        warnings = []
         for fingerprint, per_schema in plans_by_fingerprint.items():
             pending = self._pending_plans.setdefault(fingerprint, {})
-            pending.update(per_schema)
+            for signature, plan in per_schema.items():
+                unknown = [
+                    name for name in (plan.decider,) + plan.fallbacks
+                    if name not in registered
+                ]
+                if unknown:
+                    message = (
+                        f"dropped persisted plan {signature!r} for schema "
+                        f"{fingerprint[:12]}: unregistered decider(s) "
+                        f"{', '.join(unknown)}; it will be replanned"
+                    )
+                    _LOG.warning(message)
+                    warnings.append(message)
+                else:
+                    pending[signature] = plan
             if names and fingerprint in names:
                 self._pending_names[fingerprint] = names[fingerprint]
             artifacts = self._by_fingerprint.get(fingerprint)
             if artifacts is not None:
-                applied += self._apply_pending_plans(artifacts)
-        return applied
+                self._apply_pending_plans(artifacts)
+        return warnings
 
     def discard_pending_plans(self) -> int:
         """Drop adopted-but-unapplied persisted plans (used by
@@ -194,17 +217,14 @@ class SchemaRegistry:
             records.setdefault(fingerprint, entry)
         return records
 
-    def _apply_pending_plans(self, artifacts: SchemaArtifacts) -> int:
+    def _apply_pending_plans(self, artifacts: SchemaArtifacts) -> None:
         pending = self._pending_plans.pop(artifacts.fingerprint, None)
         if not pending:
-            return 0
-        applied = 0
+            return
         for signature, plan in pending.items():
             if signature not in artifacts.plan_cache:
                 artifacts.plan_cache[signature] = plan
-                applied += 1
-        self.persisted_plans += applied
-        return applied
+                self.persisted_plans += 1
 
     def register_file(self, name: str, path: str) -> SchemaArtifacts:
         with open(path) as handle:

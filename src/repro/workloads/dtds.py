@@ -9,8 +9,9 @@ Three shapes recur in the paper's narrative and drive the scaling series:
 * :func:`mid_size_dtd` — a mixed schema with disjunction, star and
   optional parts for the Table-1 grid;
 * :func:`wide_dtd` — a heap-shaped schema with a configurable number of
-  element types (64–256 in the symbolic-backend sweeps), the regime the
-  packed kernels (:mod:`repro.sat.bits`) exist for.
+  element types (64–256 in the wide-schema suites), the regime the
+  packed Thm 5.3 fixpoint (:mod:`repro.sat.exptime_types`) and kernels
+  (:mod:`repro.sat.bits`) exist for.
 """
 
 from __future__ import annotations

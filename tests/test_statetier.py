@@ -375,6 +375,38 @@ class TestWarmStart:
             engine.save_state()
             engine.close()
 
+    def test_plan_naming_unregistered_decider_is_replanned(self, tmp_path):
+        """A persisted plan whose chain names a decider that is no longer
+        registered is dropped at adoption (with a warning) and rebuilt by
+        the planner, instead of failing the whole run when an uncached
+        job routes to it."""
+        from repro.sat import registry as sat_registry
+
+        tier_path = str(tmp_path / "tier")
+        seed = BatchEngine(registry=_registry(), state_tier=tier_path)
+        seed.run([Job("A[not(B)]", "catalog")])
+        assert seed.registry.get("catalog").plan_cache["neg,qual"].decider \
+            == "exptime_types"
+        seed.save_state()
+        seed.close()
+
+        with sat_registry.disabled("exptime_types"):
+            engine = BatchEngine(registry=_registry(), state_tier=tier_path)
+            report = engine.run([Job("B[not(C)]", "catalog", id="uncached")])
+            plan = engine.registry.get("catalog").plan_cache["neg,qual"]
+            engine.close()
+            baseline = BatchEngine(registry=_registry(), workers=1)
+            expected = baseline.run([Job("B[not(C)]", "catalog", id="uncached")])
+            baseline.close()
+        assert report.stats.errors == 0
+        assert report.stats.planner_invocations == 1
+        assert _verdicts(report) == _verdicts(expected)
+        assert "exptime_types" not in (plan.decider,) + plan.fallbacks
+        assert any(
+            "'neg,qual'" in warning and "exptime_types" in warning
+            for warning in engine.state_warnings
+        )
+
     def test_cli_batch_warm_start_through_tier(self, tmp_path, capsys):
         dtd = tmp_path / "catalog.dtd"
         dtd.write_text(DTD_TEXT)
@@ -506,6 +538,47 @@ class TestLegacyMigration:
         assert _verdicts(report) == baseline
         assert report.stats.planner_invocations == 0
         warm.close()
+
+    def test_fixture_chains_naming_retired_decider_are_replanned(self, tmp_path):
+        """The fixture's ``neg,qual``, ``qual`` and ``parent`` plans name
+        the retired ``exptime_types_bits`` in their chains: a warm engine
+        drops them at adoption, replans on first use, answers every job
+        like a stateless engine, and writes the rebuilt chains back."""
+        state_dir = _legacy_state_dir(tmp_path)
+        # uncached questions (not in the fixture's decision cache) with the
+        # fixture's signatures, so the adopted plans are really consulted
+        jobs = [
+            Job(query, schema, id=f"{schema}:{query}")
+            for schema in ("catalog", "doc")
+            for query in ("C[not(A)]", "title[not(text)]", ".[A and title]", "^/B")
+        ]
+        stateless = BatchEngine(registry=_registry())
+        baseline = _verdicts(stateless.run(jobs))
+        stateless.close()
+
+        warm = BatchEngine(registry=_registry(), state_tier=state_dir)
+        retired = [w for w in warm.state_warnings if "exptime_types_bits" in w]
+        assert len(retired) == 6    # neg,qual / qual / parent on both schemas
+        report = warm.run(jobs)
+        assert report.stats.errors == 0
+        assert _verdicts(report) == baseline
+        assert report.stats.persisted_plans_loaded >= 2   # the "()" plans
+        for name in ("catalog", "doc"):
+            for signature, plan in warm.registry.get(name).plan_cache.items():
+                assert "exptime_types_bits" not in (plan.decider,) + plan.fallbacks
+            assert warm.registry.get(name).plan_cache["neg,qual"].fallbacks \
+                == ("nexptime",)
+        warm.save_state()
+        warm.close()
+
+        tier = StateTier(state_dir)
+        state = tier.load()
+        tier.close()
+        chains = [
+            (plan.decider,) + plan.fallbacks
+            for plans in state.plans.values() for plan in plans.values()
+        ]
+        assert chains and not any("exptime_types_bits" in c for c in chains)
 
     def test_migration_runs_only_once(self, tmp_path):
         state_dir = _legacy_state_dir(tmp_path)
