@@ -32,7 +32,8 @@ workload:
    mixes are identical either way (see ``tests/test_metamorphic.py``);
 6. **persistent worker runtimes with schema affinity** — every chunk
    runs on the :class:`~repro.engine.executors.Executor` abstraction:
-   inline chunks on an engine-lifetime
+   inline chunks (and the inline PTIME decides' ``prepare`` contexts)
+   on an engine-lifetime
    :class:`~repro.engine.executors.InlineExecutor`, pooled ones on a
    :class:`~repro.engine.executors.PersistentPoolExecutor` of long-lived
    worker *lanes* whose :class:`~repro.engine.executors.WorkerRuntime`
@@ -76,6 +77,7 @@ from repro.engine.executors import (
     Executor,
     InlineExecutor,
     PersistentPoolExecutor,
+    WorkerRuntime,
 )
 from repro.engine.registry import SchemaArtifacts, SchemaRegistry
 from repro.obs.log import get_logger
@@ -83,12 +85,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import FAILED, JobTrace, Span, Tracer, attempt_spans
 from repro.sat.bounded import Bounds
 from repro.sat.costmodel import CostModel, size_bucket
-from repro.sat.planner import (
-    ExecutionTrace,
-    Plan,
-    Planner,
-    execute_plan,
-)
+from repro.sat.planner import ExecutionTrace, Plan, Planner, execute_plan
 from repro.sat.registry import decider_traits, get_decider
 from repro.sat.telemetry import LATENCY_BUCKETS_MS, PlanTelemetry, verdict_name
 from repro.xpath.rewrite import get_pass
@@ -919,6 +916,9 @@ class BatchEngine:
         # per-run delta against the executor's lifetime counter
         pool: Executor | None = None
         pool_respawns_before = 0
+        # the inline executor's runtime, acquired on the first inline
+        # decide (whatever ``workers`` is)
+        inline_runtime: WorkerRuntime | None = None
 
         def emit(index: int) -> None:
             """Stream one finalized result to the caller; every result
@@ -1124,13 +1124,23 @@ class BatchEngine:
                     )
                     continue
 
+                if inline_runtime is None:
+                    inline_runtime = self._inline().runtime
+                fingerprint = artifacts.fingerprint if artifacts else None
+                dtd = artifacts.dtd if artifacts else None
+                # the engine-lifetime runtime's prepared contexts: the same
+                # (schema × plan) cache the inline chunks use
+                contexts = (
+                    inline_runtime.contexts_for(fingerprint, plan, dtd)[0]
+                    if dtd is not None else None
+                )
                 job_start = time.perf_counter()
                 exec_trace = ExecutionTrace()
                 try:
                     outcome = execute_plan(
-                        plan, canonical,
-                        artifacts.dtd if artifacts else None, self.bounds,
+                        plan, canonical, dtd, self.bounds,
                         pre_canonicalized=True, trace=exec_trace,
+                        contexts=contexts,
                     )
                     decision = CachedDecision(
                         outcome.satisfiable, outcome.method, outcome.reason
@@ -1154,6 +1164,9 @@ class BatchEngine:
                         )
                     emit(index)
                     continue
+                finally:
+                    if contexts is not None:
+                        inline_runtime.evict_failed(fingerprint, plan, contexts)
                 stats.decide_calls += 1
                 stats.inline_decides += 1
                 elapsed_ms = (time.perf_counter() - job_start) * 1e3

@@ -14,7 +14,8 @@ abstraction and two implementations:
 
 * :class:`InlineExecutor` — runs chunks in-process (``workers == 1``),
   holding one :class:`WorkerRuntime` for the engine's lifetime, so the
-  second chunk of a schema reuses the first chunk's prepared contexts;
+  second chunk of a schema reuses the first chunk's prepared contexts
+  (the engine's inline PTIME decides draw on the same runtime);
 * :class:`PersistentPoolExecutor` — a pool of long-lived worker
   *lanes* (one process each), every lane owning a :class:`WorkerRuntime`
   that caches DTDs and prepared :class:`~repro.sat.planner.PlanContexts`
@@ -202,26 +203,38 @@ class WorkerRuntime:
             return self._dtds.get(fingerprint)
         return None
 
-    def _contexts_for(self, task: ChunkTask, dtd) -> tuple[PlanContexts, bool]:
-        """The chunk's shared contexts and whether they were already warm
-        (a runtime hit).  Only grouped chunks against a fingerprinted
-        schema are worth caching across chunks — a no-DTD plan has no
-        ``prepare`` work to share."""
-        key = (task.fingerprint, task.plan.telemetry_key)
-        if self.caching and task.fingerprint is not None:
+    def contexts_for(
+        self, fingerprint: str | None, plan: Plan, dtd
+    ) -> tuple[PlanContexts, bool]:
+        """The shared contexts of (schema × plan) and whether they were
+        already warm (a runtime hit).  Only work against a fingerprinted
+        schema is worth caching across chunks and jobs — a no-DTD plan
+        has no ``prepare`` work to share."""
+        if self.caching and fingerprint is not None:
+            key = (fingerprint, plan.telemetry_key)
             contexts = self._contexts.get(key)
             if contexts is not None:
                 self.context_hits += 1
                 self._contexts.move_to_end(key)
                 return contexts, contexts.built > 0
-            contexts = PlanContexts(task.plan, dtd)
+            contexts = PlanContexts(plan, dtd)
             self._contexts[key] = contexts
             self.context_misses += 1
             while len(self._contexts) > self.context_capacity:
                 self._contexts.popitem(last=False)
                 self.context_evictions += 1
             return contexts, False
-        return PlanContexts(task.plan, dtd), False
+        return PlanContexts(plan, dtd), False
+
+    def evict_failed(
+        self, fingerprint: str | None, plan: Plan, contexts: PlanContexts
+    ) -> None:
+        """Evict the entry if its ``prepare`` failed: the failure is
+        memoized only for the chunk (or inline job) that hit it, so the
+        next one retries instead of degrading this schema × plan to
+        per-job setup for the runtime's whole lifetime."""
+        if contexts.prepare_error is not None:
+            self._contexts.pop((fingerprint, plan.telemetry_key), None)
 
     def run_chunk(self, task: ChunkTask, dtd=None) -> ChunkOutcome:
         """Decide every question in ``task`` (the chunk semantics of the
@@ -251,7 +264,9 @@ class WorkerRuntime:
                 self._run_question(task, canonical, dtd, contexts=None)
                 for canonical in task.canonicals
             ])
-        contexts, runtime_hit = self._contexts_for(task, dtd)
+        contexts, runtime_hit = self.contexts_for(
+            task.fingerprint, task.plan, dtd
+        )
         prepare_ms_before = contexts.prepare_ms
         # build the primary's context eagerly: every question runs it, and
         # a failing prepare should be visible even if the first question
@@ -264,14 +279,7 @@ class WorkerRuntime:
             self._run_question(task, canonical, dtd, contexts=contexts)
             for canonical in task.canonicals
         ]
-        if contexts.prepare_error is not None:
-            # a failed prepare is memoized only within the chunk (never
-            # re-run per question); evict the cached entry so the next
-            # chunk retries instead of degrading this schema × plan to
-            # per-job setup for the runtime's whole lifetime
-            self._contexts.pop(
-                (task.fingerprint, task.plan.telemetry_key), None
-            )
+        self.evict_failed(task.fingerprint, task.plan, contexts)
         return ChunkOutcome(
             outcomes=outcomes,
             shared_setup=shared_setup,
@@ -305,6 +313,8 @@ class InlineExecutor:
     lives as long as the executor — which the engine keeps for its own
     lifetime — so chunk N of a schema reuses chunk 1's contexts even
     across separate :meth:`~repro.engine.batch.BatchEngine.run` calls.
+    The engine's inline decides use ``runtime`` directly (for any
+    ``workers``), without submitting chunks.
     """
 
     def __init__(self, affinity: bool = True):

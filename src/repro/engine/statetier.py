@@ -145,6 +145,33 @@ def resolve_tier_path(path: str) -> str:
     return os.path.join(path, TIER_FILENAME)
 
 
+#: primary SQLite result codes (``sqlite_errorcode`` is Python >= 3.11;
+#: older interpreters fall back to the message text)
+_CONTENTION_CODES = (5, 6)      # SQLITE_BUSY, SQLITE_LOCKED
+_CORRUPTION_CODES = (11, 26)    # SQLITE_CORRUPT, SQLITE_NOTADB
+
+
+def _error_code(error: sqlite3.DatabaseError) -> int | None:
+    code = getattr(error, "sqlite_errorcode", None)
+    return code & 0xFF if code is not None else None
+
+
+def _is_contention(error: sqlite3.DatabaseError) -> bool:
+    code = _error_code(error)
+    if code is not None:
+        return code in _CONTENTION_CODES
+    message = str(error).lower()
+    return "locked" in message or "busy" in message
+
+
+def _is_corruption(error: sqlite3.DatabaseError) -> bool:
+    code = _error_code(error)
+    if code is not None:
+        return code in _CORRUPTION_CODES
+    message = str(error).lower()
+    return "not a database" in message or "malformed" in message
+
+
 class StateTier:
     """One shared SQLite state database (see the module docstring).
 
@@ -201,29 +228,58 @@ class StateTier:
             isolation_level=None,       # explicit BEGIN IMMEDIATE below
             check_same_thread=False,    # guarded by self._lock
         )
-        conn.execute("PRAGMA journal_mode=WAL")
-        conn.execute(f"PRAGMA busy_timeout={int(self.busy_timeout * 1000)}")
-        conn.execute("PRAGMA synchronous=NORMAL")
-        return conn
+        try:
+            conn.execute("PRAGMA journal_mode=WAL")
+            conn.execute(
+                f"PRAGMA busy_timeout={int(self.busy_timeout * 1000)}"
+            )
+            conn.execute("PRAGMA synchronous=NORMAL")
+            return self._init_schema(conn)
+        except BaseException:
+            conn.close()
+            raise
 
     def _open(self, fresh: bool) -> sqlite3.Connection:
-        try:
-            return self._init_schema(self._connect())
-        except sqlite3.DatabaseError as error:
-            if fresh:
-                raise EngineError(f"state tier {self.path}: {error}") from error
-            # an unreadable existing database: set it aside and rebuild —
-            # shared state is an optimization, refusing to serve over a
-            # corrupt file would turn it into a correctness requirement
-            corrupt = self.path + ".corrupt"
-            message = (
-                f"state tier {self.path}: unreadable ({error}); "
-                f"moved aside to {corrupt} and rebuilt empty"
-            )
-            self.warnings.append(message)
-            _LOG.warning(message)
-            os.replace(self.path, corrupt)
-            return self._init_schema(self._connect())
+        """Connect, retrying contention until ``busy_timeout`` runs out.
+
+        Processes racing to open one tier contend on the just-created
+        file, and ``PRAGMA journal_mode=WAL`` can answer SQLITE_BUSY
+        without consulting the busy handler — so "locked"/"busy" is
+        retried here, and only a file SQLite reports as corrupt or not a
+        database is moved aside."""
+        deadline = time.monotonic() + self.busy_timeout
+        delay = 0.01
+        while True:
+            try:
+                return self._connect()
+            except sqlite3.DatabaseError as error:
+                if _is_contention(error):
+                    if time.monotonic() >= deadline:
+                        raise EngineError(
+                            f"state tier {self.path}: still locked after "
+                            f"{self.busy_timeout}s ({error})"
+                        ) from error
+                    self.lock_retries += 1
+                    time.sleep(delay)
+                    delay = min(delay * 2, 0.25)
+                    continue
+                if fresh or not _is_corruption(error):
+                    raise EngineError(
+                        f"state tier {self.path}: {error}"
+                    ) from error
+                # an unreadable existing database: set it aside and
+                # rebuild — shared state is an optimization, refusing to
+                # serve over a corrupt file would turn it into a
+                # correctness requirement
+                corrupt = self.path + ".corrupt"
+                message = (
+                    f"state tier {self.path}: unreadable ({error}); "
+                    f"moved aside to {corrupt} and rebuilt empty"
+                )
+                self.warnings.append(message)
+                _LOG.warning(message)
+                os.replace(self.path, corrupt)
+                fresh = True
 
     def _init_schema(self, conn: sqlite3.Connection) -> sqlite3.Connection:
         conn.executescript(_SCHEMA)

@@ -236,11 +236,16 @@ class _Solver:
     value, and outer passes repeat until a pass derives nothing new.
     Sound because the fragment is negation-free, so the underlying
     operator is monotone and the stabilized table is the least fixpoint.
+
+    Qualifier sets and atom sets are visited in ``str`` order, so the
+    search (and where a budget trips) is deterministic; ``rendered``
+    holds each qualifier's and atom's rendering, computed once.
     """
 
     dtd: DTD
     context: RealWorldContext
     memo: dict[tuple[str, frozenset[Qualifier]], bool] = field(default_factory=dict)
+    rendered: dict[object, str] = field(default_factory=dict)
     pass_done: set = field(default_factory=set)
     active: set = field(default_factory=set)
     steps: int = 0
@@ -258,6 +263,12 @@ class _Solver:
                 return True
             if not self.changed:
                 return False
+
+    def _sort_key(self, item) -> str:
+        text = self.rendered.get(item)
+        if text is None:
+            text = self.rendered[item] = str(item)
+        return text
 
     def _step(self) -> None:
         self.steps += 1
@@ -296,7 +307,7 @@ class _Solver:
     def _compute(self, label: str, quals: frozenset[Qualifier]) -> bool:
         option_lists: list[list[frozenset[_Atom]]] = []
         total = 1
-        for qual in sorted(quals, key=str):
+        for qual in sorted(quals, key=self._sort_key):
             choices = self.options(qual, label)
             if not choices:
                 return False
@@ -376,7 +387,7 @@ class _Solver:
         finest partitions first, since distinct hosts are feasible most
         often — then hosts get labels and the multiset is checked."""
         model = self.context.models[label]
-        atom_list = sorted(atoms, key=str)
+        atom_list = sorted(atoms, key=self._sort_key)
         partitions = sorted(_partitions(atom_list), key=len, reverse=True)
         for blocks in partitions:
             self._step()

@@ -37,7 +37,13 @@ def verdict_name(satisfiable: bool | None) -> str:
 
 @dataclass
 class PlanStats:
-    """Accumulated observations of one plan's executions."""
+    """Accumulated observations of one plan's executions.
+
+    ``version`` (not a dataclass field) ticks on every mutation through
+    :meth:`record`, :meth:`record_failure` and :meth:`merge`, so
+    :meth:`PlanTelemetry.summary` rebuilds only rows that changed."""
+
+    version = 0
 
     count: int = 0
     total_ms: float = 0.0
@@ -75,6 +81,7 @@ class PlanStats:
         shared_setup: bool = False,
         runtime_hit: bool = False,
     ) -> None:
+        self.version += 1
         self.count += 1
         self.total_ms += elapsed_ms
         self.max_ms = max(self.max_ms, elapsed_ms)
@@ -99,6 +106,7 @@ class PlanStats:
         a pool worker died).  Only the verdict mix moves — a crash has no
         meaningful latency, and a zero-ms sample would drag the mean and
         percentiles down."""
+        self.version += 1
         self.verdicts["error"] = self.verdicts.get("error", 0) + jobs
         self.last_seen = time.time()
 
@@ -136,6 +144,7 @@ class PlanStats:
         return self.max_ms
 
     def merge(self, other: "PlanStats") -> None:
+        self.version += 1
         self.count += other.count
         self.total_ms += other.total_ms
         self.max_ms = max(self.max_ms, other.max_ms)
@@ -194,6 +203,25 @@ class PlanStats:
         return stats
 
 
+def _summary_row(stats: PlanStats) -> dict[str, Any]:
+    row = {
+        "count": stats.count,
+        "mean_ms": round(stats.mean_ms, 4),
+        "p50_ms": round(stats.percentile_ms(0.5), 4),
+        "p90_ms": round(stats.percentile_ms(0.9), 4),
+        "verdicts": {k: v for k, v in stats.verdicts.items() if v},
+        "fallback_rate": round(stats.fallback_rate, 4),
+    }
+    if stats.deciders:
+        row["top_decider"] = stats.top_decider
+    if stats.groups:
+        row["groups"] = stats.groups
+        row["grouped_jobs"] = stats.grouped_jobs
+        row["setup_reuse"] = stats.setup_reuse
+        row["runtime_hits"] = stats.runtime_hits
+    return row
+
+
 class PlanTelemetry:
     """Per-plan stats table keyed by :attr:`Plan.telemetry_key`.
 
@@ -205,6 +233,9 @@ class PlanTelemetry:
     def __init__(self) -> None:
         self._stats: dict[str, PlanStats] = {}
         self._plans: dict[str, dict[str, Any]] = {}
+        #: summary row per plan, with the stats object and version it
+        #: was built from (rows are rebuilt only when either moved)
+        self._rows: dict[str, tuple[PlanStats, int, dict[str, Any]]] = {}
 
     def __len__(self) -> int:
         return len(self._stats)
@@ -314,25 +345,20 @@ class PlanTelemetry:
 
     def summary(self) -> dict[str, Any]:
         """Compact per-plan rows for ``EngineStats.as_dict`` and JSON
-        consumers (one entry per plan, no histograms)."""
-        rows = {}
+        consumers (one entry per plan, no histograms).  Rows of plans
+        untouched since the last call are reused, not recomputed."""
+        rows, kept = {}, {}
         for key, stats in sorted(self._stats.items()):
-            row = {
-                "count": stats.count,
-                "mean_ms": round(stats.mean_ms, 4),
-                "p50_ms": round(stats.percentile_ms(0.5), 4),
-                "p90_ms": round(stats.percentile_ms(0.9), 4),
-                "verdicts": {k: v for k, v in stats.verdicts.items() if v},
-                "fallback_rate": round(stats.fallback_rate, 4),
-            }
-            if stats.deciders:
-                row["top_decider"] = stats.top_decider
-            if stats.groups:
-                row["groups"] = stats.groups
-                row["grouped_jobs"] = stats.grouped_jobs
-                row["setup_reuse"] = stats.setup_reuse
-                row["runtime_hits"] = stats.runtime_hits
-            rows[key] = row
+            cached = self._rows.get(key)
+            if (
+                cached is None
+                or cached[0] is not stats
+                or cached[1] != stats.version
+            ):
+                cached = (stats, stats.version, _summary_row(stats))
+            kept[key] = cached
+            rows[key] = cached[2]
+        self._rows = kept       # rows of pruned plans drop out here
         return rows
 
     def register_metrics(self, registry) -> None:

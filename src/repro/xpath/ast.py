@@ -5,6 +5,15 @@ unary predicates.  Nodes are immutable and hashable so deciders can memoize
 on (subquery, element type) pairs, exactly like the paper's dynamic
 programs index their ``reach``/``sat`` tables.
 
+Deciders hash the same subtrees over and over (memo keys, the
+``first_cases`` LRU), so composite nodes compute their structural hash
+once, lazily, and :func:`repro.xpath.fragments.features_of` caches its
+result on the node it was asked about — in the spirit of the hash-consed
+formula DAGs of Genevès/Layaïda (arXiv:0812.3550), but without
+interning.  Both caches live in the instance ``__dict__`` under the
+class-level ``None`` defaults below and never cross a pickle boundary
+(a process started with ``spawn`` salts ``str`` hashes differently).
+
 The concrete ASCII rendering produced by ``str()`` round-trips through
 :func:`repro.xpath.parser.parse_query`:
 
@@ -31,16 +40,59 @@ paper                      ASCII
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Iterator, Literal
 
 CompareOp = Literal["=", "!="]
+
+#: per-node cache attributes (class-level ``None`` defaults below)
+_NODE_CACHES = ("_hash", "_features")
+
+
+def _getstate(node) -> dict:
+    """Pickled (and copied) state: the dataclass fields, never the caches."""
+    return {name: getattr(node, name) for name in node.__dataclass_fields__}
+
+
+_set = object.__setattr__     # frozen nodes: caches bypass __setattr__
+
+
+def _self_hashing(cls):
+    """Give a composite dataclass node a structural hash computed once,
+    on first use (the dataclass-generated one re-walks the subtree on
+    every call).  Equal nodes hash equal: the hash covers the class and
+    exactly the fields ``__eq__`` compares."""
+    key = attrgetter(*(field.name for field in fields(cls)))
+    salt = cls.__name__
+
+    def __hash__(self) -> int:
+        cached = self._hash
+        if cached is None:
+            cached = hash((salt, key(self)))
+            # not via __dict__, which would materialize the instance dict
+            _set(self, "_hash", cached)
+        return cached
+
+    cls.__hash__ = __hash__
+    # enter the cache names into the class's shared instance-dict keys,
+    # in a fixed order, before any real node exists: CPython sizes each
+    # instance's attribute storage from those keys and shrinks the spare
+    # room as instances are created, so a cache name first set later
+    # would cost every cached node a full dict (~250 B), not one slot
+    prototype = object.__new__(cls)
+    for name in [field.name for field in fields(cls)] + list(_NODE_CACHES):
+        _set(prototype, name, None)
+    return cls
 
 
 class Path:
     """Base class of path expressions (binary predicates)."""
 
     __slots__ = ()
+    _hash = None
+    _features = None
+    __getstate__ = _getstate
 
     def children_paths(self) -> tuple["Path", ...]:
         return ()
@@ -71,6 +123,9 @@ class Qualifier:
     """Base class of qualifiers (unary predicates)."""
 
     __slots__ = ()
+    _hash = None
+    _features = None
+    __getstate__ = _getstate
 
     def children_paths(self) -> tuple[Path, ...]:
         return ()
@@ -185,6 +240,7 @@ class LeftSibStar(Path):
 # Composite paths
 # ---------------------------------------------------------------------------
 
+@_self_hashing
 @dataclass(frozen=True, repr=False)
 class Seq(Path):
     """``p1/p2`` — composition."""
@@ -201,6 +257,7 @@ class Seq(Path):
         return f"{left}/{right}"
 
 
+@_self_hashing
 @dataclass(frozen=True, repr=False)
 class Union(Path):
     """``p1 ∪ p2``."""
@@ -215,6 +272,7 @@ class Union(Path):
         return f"{self.left} | {self.right}"
 
 
+@_self_hashing
 @dataclass(frozen=True, repr=False)
 class Filter(Path):
     """``p[q]`` — path with qualifier."""
@@ -237,6 +295,7 @@ class Filter(Path):
 # Qualifiers
 # ---------------------------------------------------------------------------
 
+@_self_hashing
 @dataclass(frozen=True, repr=False)
 class PathExists(Qualifier):
     """``p`` as a qualifier: some node is reachable via ``p``."""
@@ -260,6 +319,7 @@ class LabelTest(Qualifier):
         return f"lab() = {self.name}"
 
 
+@_self_hashing
 @dataclass(frozen=True, repr=False)
 class AttrConstCmp(Qualifier):
     """``p/@a op 'c'``."""
@@ -277,6 +337,7 @@ class AttrConstCmp(Qualifier):
         return f"{prefix}@{self.attr} {self.op} '{self.value}'"
 
 
+@_self_hashing
 @dataclass(frozen=True, repr=False)
 class AttrAttrCmp(Qualifier):
     """``p/@a op p'/@b`` — a data-value join."""
@@ -299,6 +360,7 @@ class AttrAttrCmp(Qualifier):
         )
 
 
+@_self_hashing
 @dataclass(frozen=True, repr=False)
 class And(Qualifier):
     left: Qualifier
@@ -311,6 +373,7 @@ class And(Qualifier):
         return f"{_paren_q(self.left)} and {_paren_q(self.right)}"
 
 
+@_self_hashing
 @dataclass(frozen=True, repr=False)
 class Or(Qualifier):
     left: Qualifier
@@ -323,6 +386,7 @@ class Or(Qualifier):
         return f"{_paren_q(self.left, in_or=True)} or {_paren_q(self.right, in_or=True)}"
 
 
+@_self_hashing
 @dataclass(frozen=True, repr=False)
 class Not(Qualifier):
     inner: Qualifier
@@ -344,6 +408,7 @@ def _paren_q(qualifier: Qualifier, in_or: bool = False) -> str:
 
 def _paren_for_attr(path: Path) -> str:
     return f"({path})" if isinstance(path, Union) else str(path)
+
 
 
 # ---------------------------------------------------------------------------

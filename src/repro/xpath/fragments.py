@@ -59,8 +59,23 @@ _PATH_FEATURES: dict[type, Feature] = {
 }
 
 
+#: one shared frozenset per distinct operator set, so the result cached
+#: on each node is a reference, not a copy
+_FEATURE_SETS: dict[frozenset[Feature], frozenset[Feature]] = {}
+
+
 def features_of(query: Path | Qualifier) -> frozenset[Feature]:
-    """The exact set of operators used by ``query``."""
+    """The exact set of operators used by ``query`` (computed once per
+    node, then cached on it)."""
+    cached = query._features
+    if cached is None:
+        cached = _walk_features(query)
+        cached = _FEATURE_SETS.setdefault(cached, cached)
+        object.__setattr__(query, "_features", cached)
+    return cached
+
+
+def _walk_features(query: Path | Qualifier) -> frozenset[Feature]:
     features: set[Feature] = set()
     for node in query.walk():
         feature = _PATH_FEATURES.get(type(node))

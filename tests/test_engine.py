@@ -812,6 +812,151 @@ class TestEngineLifecycle:
         engine.close()
 
 
+# -- inline decides share the runtime's prepared contexts -----------------------
+
+class TestInlineContexts:
+    """Inline (PTIME) decides take their ``prepare`` contexts from the
+    inline executor's engine-lifetime runtime, keyed by (schema × plan),
+    exactly like the chunks that runtime executes."""
+
+    def _realworld_registry(self):
+        from repro.workloads.realworld import realworld_schemas
+
+        registry = SchemaRegistry()
+        for name, dtd in realworld_schemas().items():
+            registry.register(name, dtd)
+        return registry
+
+    def _jobs(self, n_jobs=40):
+        from repro.workloads.realworld import realworld_jobs
+
+        return realworld_jobs(random.Random(1308), n_jobs, duplicate_rate=0.0)
+
+    def _count_prepare(self, monkeypatch, failing=None):
+        """Swap the realworld spec for one whose ``prepare`` is counted
+        (and raises while ``failing[0]`` is true)."""
+        import dataclasses
+
+        from repro.sat import registry as sat_registry
+
+        spec = sat_registry.get_decider("realworld")
+        calls = []
+
+        def counting(dtd):
+            calls.append(dtd)
+            if failing and failing[0]:
+                raise RuntimeError("prepare exploded")
+            return spec.prepare(dtd)
+
+        monkeypatch.setitem(
+            sat_registry._REGISTRY, "realworld",
+            dataclasses.replace(spec, prepare=counting),
+        )
+        return calls
+
+    @staticmethod
+    def _built_realworld(engine) -> int:
+        runtime = engine._inline_executor.runtime
+        return sum(
+            "realworld" in contexts._contexts
+            for contexts in runtime._contexts.values()
+        )
+
+    def test_prepare_runs_once_per_schema_and_plan(self, monkeypatch):
+        calls = self._count_prepare(monkeypatch)
+        jobs = self._jobs()
+        with BatchEngine(registry=self._realworld_registry()) as engine:
+            first = engine.run(jobs)
+            assert first.stats.trait_routed_answers.get("realworld", 0) > 0
+            assert first.stats.inline_decides > len(calls) > 0
+            assert len(calls) == self._built_realworld(engine)
+            engine.cache.clear()
+            second = engine.run(jobs)
+            # every job was decided again, without a single new prepare
+            assert second.stats.inline_decides == first.stats.inline_decides
+            assert len(calls) == self._built_realworld(engine)
+            # inline decides are neither chunks nor runtime-context hits
+            assert second.stats.plan_groups == 0
+            assert second.stats.runtime_context_hits == 0
+            assert engine._inline_executor.stats().dispatched == 0
+        assert [r.satisfiable for r in first.results] == [
+            r.satisfiable for r in second.results
+        ]
+
+    def test_affinity_off_keeps_per_job_prepare(self, monkeypatch):
+        calls = self._count_prepare(monkeypatch)
+        jobs = self._jobs()
+        with BatchEngine(
+            registry=self._realworld_registry(), affinity=False
+        ) as engine:
+            engine.run(jobs)
+            per_run = len(calls)
+            assert per_run >= engine.last_stats.trait_routed_answers["realworld"]
+            assert engine._inline_executor.runtime._contexts == {}
+            engine.cache.clear()
+            engine.run(jobs)
+            assert len(calls) == 2 * per_run
+        cached_calls = self._count_prepare(monkeypatch)
+        with BatchEngine(registry=self._realworld_registry()) as engine:
+            engine.run(jobs)
+        assert len(cached_calls) < per_run
+
+    def test_failing_prepare_degrades_only_that_setup(self, monkeypatch):
+        jobs = self._jobs()
+        with BatchEngine(
+            registry=self._realworld_registry(), affinity=False
+        ) as stateless:
+            baseline = [r.satisfiable for r in stateless.run(jobs).results]
+        failing = [True]
+        calls = self._count_prepare(monkeypatch, failing)
+        with BatchEngine(registry=self._realworld_registry()) as engine:
+            report = engine.run(jobs)
+            # every job still answered, through per-job setup
+            assert report.stats.errors == 0
+            assert [r.satisfiable for r in report.results] == baseline
+            # the failure was evicted after each job, never cached
+            assert self._built_realworld(engine) == 0
+            failed_calls = len(calls)
+            assert failed_calls >= report.stats.trait_routed_answers["realworld"]
+            # the next run retries the setup and keeps it
+            failing[0] = False
+            engine.cache.clear()
+            again = engine.run(jobs)
+            assert [r.satisfiable for r in again.results] == baseline
+            assert 0 < len(calls) - failed_calls == self._built_realworld(engine)
+
+    def test_verdicts_match_stateless_and_realworld_free_chains(self):
+        from repro.sat import registry as sat_registry
+
+        jobs = self._jobs(60)
+        with BatchEngine(registry=self._realworld_registry()) as engine:
+            engine.run(jobs)        # warm the runtime's contexts
+            engine.cache.clear()
+            warm = [r.satisfiable for r in engine.run(jobs).results]
+            assert engine.last_stats.trait_routed_answers["realworld"] > 0
+        with BatchEngine(
+            registry=self._realworld_registry(), affinity=False
+        ) as stateless:
+            assert [r.satisfiable for r in stateless.run(jobs).results] == warm
+        with sat_registry.disabled("realworld"):
+            with BatchEngine(registry=self._realworld_registry()) as chain:
+                report = chain.run(jobs)
+            assert "realworld" not in report.stats.trait_routed_answers
+            assert [r.satisfiable for r in report.results] == warm
+
+    def test_pooled_engine_shares_inline_contexts(self, monkeypatch):
+        calls = self._count_prepare(monkeypatch)
+        jobs = self._jobs()
+        with BatchEngine(
+            registry=self._realworld_registry(), workers=2
+        ) as engine:
+            engine.run(jobs)
+            assert len(calls) == self._built_realworld(engine) > 0
+            engine.cache.clear()
+            engine.run(jobs)
+            assert len(calls) == self._built_realworld(engine)
+
+
 # -- cross-run lane persistence --------------------------------------------------
 
 class TestCrossRunPersistence:

@@ -12,9 +12,13 @@ of the telemetry aggregator and the state serialization round trip.
 
 from __future__ import annotations
 
+import json
 import random
+import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.dtd import parse_dtd
 from repro.engine import (
@@ -371,6 +375,74 @@ class TestEngineTelemetry:
         assert rebuilt.to_dict() == engine.telemetry.to_dict()
         table = engine.telemetry.table()
         assert "mean_ms" in table and "fb%" in table
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(
+        st.tuples(
+            st.sampled_from(
+                ["record", "fail", "get_record", "get_merge", "merge",
+                 "prune", "reload", "summary", "summary"]
+            ),
+            st.integers(0, 2),
+            st.sampled_from([0.03, 0.3, 4.0, 70.0, 4000.0]),
+            st.booleans(),
+        ),
+        max_size=40,
+    ))
+    # a row pruned and re-recorded between summaries is a new PlanStats
+    # at the same version as the one its cached row was built from
+    @example([
+        ("record", 0, 0.03, True), ("summary", 0, 0.03, True),
+        ("prune", 0, 0.03, True), ("record", 0, 4000.0, False),
+    ])
+    def test_incremental_summary_equals_rebuild(self, operations):
+        plans = [
+            Plan(signature=f"s{i}", schema="abc", rewrites=(),
+                 decider="downward", fallbacks=("bounded",) * i)
+            for i in range(3)
+        ]
+        telemetry = PlanTelemetry()
+        for op, index, elapsed, flag in operations:
+            plan = plans[index]
+            if op == "record":
+                telemetry.record(
+                    plan, elapsed, "sat" if flag else "unsat",
+                    decider="downward", fallback=flag,
+                    group_size=2 if flag else 0, group_lead=flag,
+                    runtime_hit=flag,
+                )
+            elif op == "fail":
+                telemetry.record_failure(plan, jobs=index + 1)
+            elif op in ("get_record", "get_merge"):
+                # live objects handed out by get() mutate behind the table
+                stats = telemetry.get(plan.telemetry_key)
+                if stats is None:
+                    continue
+                if op == "get_record":
+                    stats.record(elapsed, "unknown", decider="bounded")
+                else:
+                    other = PlanStats()
+                    other.record(elapsed, "sat", decider="bounded")
+                    stats.merge(other)
+            elif op == "merge":
+                other = PlanTelemetry()
+                other.record(plan, elapsed, "sat", decider="downward")
+                telemetry.merge(other)
+            elif op == "prune":
+                telemetry.prune(0.0, now=time.time() + 1.0 if flag else 0.0)
+            elif op == "reload":
+                telemetry = PlanTelemetry.from_dict(telemetry.to_dict())
+            else:
+                self._check_summary(telemetry)
+        self._check_summary(telemetry)
+
+    @staticmethod
+    def _check_summary(telemetry):
+        """The incremental summary is byte-identical to one built from
+        scratch over the same rows."""
+        rebuilt = PlanTelemetry()
+        rebuilt._stats = dict(telemetry.items())
+        assert json.dumps(telemetry.summary()) == json.dumps(rebuilt.summary())
 
 
 class TestStatePersistence:

@@ -22,7 +22,12 @@ from hypothesis import strategies as st
 from repro.cli import main
 from repro.engine import BatchEngine, Job, SchemaRegistry, StateTier
 from repro.engine.state import METRICS_FILE, _atomic_write_text, load_state
-from repro.engine.statetier import TIER_FILENAME, resolve_tier_path
+from repro.engine.statetier import (
+    TIER_FILENAME,
+    _is_contention,
+    _is_corruption,
+    resolve_tier_path,
+)
 from repro.errors import EngineError
 from repro.sat.costmodel import CostModel
 
@@ -497,6 +502,85 @@ class TestConcurrentWriters:
         with StateTier(tier_path) as tier:
             entry = tier.load().cost_model.measured("sig", "s", "d")
         assert entry.count == pytest.approx(6 * 200)
+
+
+def _fresh_opener(root: str, trials: int, barrier, failures) -> None:
+    """Open trial ``t``'s not-yet-existing tier at the same moment as
+    every other opener (the barrier), recording any failed open."""
+    errors = []
+    for trial in range(trials):
+        barrier.wait(timeout=60)
+        try:
+            StateTier(os.path.join(root, f"trial{trial}")).close()
+        except Exception as error:
+            errors.append(f"trial {trial}: {type(error).__name__}: {error}")
+    failures.put(errors)
+
+
+class TestConcurrentFreshOpen:
+    """N processes racing to open one fresh tier: contention on the
+    just-created database (``journal_mode=WAL`` can answer SQLITE_BUSY
+    without consulting the busy handler) must be retried, never reported
+    as a failed open or mistaken for corruption."""
+
+    def _race(self, root: str, processes: int, trials: int) -> list[str]:
+        ctx = multiprocessing.get_context("spawn")
+        barrier = ctx.Barrier(processes)
+        failures = ctx.Queue()
+        workers = [
+            ctx.Process(
+                target=_fresh_opener, args=(root, trials, barrier, failures)
+            )
+            for _ in range(processes)
+        ]
+        for worker in workers:
+            worker.start()
+        errors = [error for _ in workers for error in failures.get(timeout=120)]
+        for worker in workers:
+            worker.join(timeout=60)
+            assert worker.exitcode == 0
+        return errors
+
+    def _check(self, root: str, processes: int, trials: int) -> None:
+        errors = self._race(root, processes, trials)
+        assert errors == []
+        moved = [
+            name
+            for _, _, files in os.walk(root)
+            for name in files if name.endswith(".corrupt")
+        ]
+        assert moved == []
+        for trial in range(trials):
+            with StateTier(os.path.join(root, f"trial{trial}")) as tier:
+                assert tier.warnings == []
+
+    def test_error_classification_without_error_codes(self):
+        # hand-built errors carry no sqlite_errorcode, like every error
+        # on Python 3.10: classification falls back to the message
+        assert _is_contention(sqlite3.OperationalError("database is locked"))
+        assert _is_contention(sqlite3.OperationalError("database is busy"))
+        assert not _is_corruption(
+            sqlite3.OperationalError("database is locked")
+        )
+        assert _is_corruption(
+            sqlite3.DatabaseError("file is not a database")
+        )
+        assert _is_corruption(
+            sqlite3.DatabaseError("database disk image is malformed")
+        )
+        assert not _is_corruption(
+            sqlite3.OperationalError("unable to open database file")
+        )
+
+    def test_racing_fresh_opens_neither_fail_nor_move_aside(self, tmp_path):
+        self._check(str(tmp_path), processes=4, trials=150)
+
+    @pytest.mark.skipif(
+        os.environ.get("REPRO_TIER_STRESS") != "1",
+        reason="heavier tier stress runs nightly (REPRO_TIER_STRESS=1)",
+    )
+    def test_many_racing_fresh_opens(self, tmp_path):
+        self._check(str(tmp_path), processes=8, trials=200)
 
 
 # -- satellite: legacy JSON migration ---------------------------------------------

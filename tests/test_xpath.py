@@ -189,6 +189,102 @@ class TestFragments:
         assert frag.uses_data(parse_query("A[@a = '1']"))
 
 
+#: queries whose ASTs use every self-hashing node class
+_CACHE_QUERIES = [
+    "A[B/C or not(D)]/E | F",
+    "**/X[@v = '1' and Y/@w != (Z | R)/@u]",
+    ".[lab() = A]/^/B[not(C and D)]",
+]
+
+
+def _cached_tree(text: str) -> ast.Path:
+    """A parsed query whose nodes all carry both caches."""
+    query = parse_query(text)
+    for node in query.walk():
+        hash(node)
+        features_of(node)
+    return query
+
+
+def _spawned_lookup(payload: bytes, text: str) -> tuple:
+    """In a fresh ``spawn`` process (its own ``str`` hash salt): does the
+    unpickled node hash like a fresh parse and find its dict entry?"""
+    import pickle
+
+    from repro.xpath import parse_query as parse
+
+    node = pickle.loads(payload)
+    fresh = parse(text)
+    table = {node: "unpickled"}
+    return hash(node) == hash(fresh), node == fresh, table.get(fresh)
+
+
+class TestNodeCaches:
+    """Composite nodes cache their structural hash, ``features_of``
+    caches its result on the node; neither may leak into pickles or
+    copies, nor change equality."""
+
+    @pytest.mark.parametrize("text", _CACHE_QUERIES)
+    def test_pickled_state_holds_no_cache_entries(self, text):
+        import pickle
+
+        query = _cached_tree(text)
+        assert query._hash is not None and query._features is not None
+        for node in query.walk():
+            state = node.__reduce_ex__(pickle.HIGHEST_PROTOCOL)[2]
+            assert not {"_hash", "_features"} & set(state or ())
+        restored = pickle.loads(pickle.dumps(query))
+        for node in restored.walk():
+            assert node._hash is None and node._features is None
+        assert restored == query and hash(restored) == hash(query)
+
+    def test_unpickled_in_spawn_child_keys_like_fresh_parse(self):
+        import multiprocessing
+        import pickle
+
+        payloads = [
+            (pickle.dumps(_cached_tree(text)), text) for text in _CACHE_QUERIES
+        ]
+        ctx = multiprocessing.get_context("spawn")
+        with ctx.Pool(1) as pool:
+            results = pool.starmap(_spawned_lookup, payloads)
+        assert results == [(True, True, "unpickled")] * len(payloads)
+
+    @pytest.mark.parametrize("text", _CACHE_QUERIES)
+    def test_copies_hash_and_compare_like_fresh_parses(self, text):
+        import copy
+        import dataclasses
+
+        query = _cached_tree(text)
+        fresh = parse_query(text)
+        for duplicate in (
+            copy.copy(query), copy.deepcopy(query),
+            dataclasses.replace(query),
+        ):
+            assert duplicate == fresh and fresh == duplicate
+            assert hash(duplicate) == hash(fresh)
+            assert {duplicate: 1}[fresh] == 1
+            assert features_of(duplicate) == features_of(fresh)
+
+    def test_hash_distinguishes_node_classes(self):
+        left, right = ast.Label("A"), ast.Label("B")
+        seq, union = ast.Seq(left, right), ast.Union(left, right)
+        assert seq != union and hash(seq) != hash(union)
+        assert len({seq, union, ast.Seq(left, right)}) == 2
+
+    def test_cached_features_equal_uncached_walk_on_oracle_corpus(self):
+        from repro.testing.oracle import build_corpus
+        from repro.xpath.canonical import canonicalize
+
+        for query, _dtd in build_corpus(seed=20250611, n_cases=300):
+            for tree_ in (query, canonicalize(query)):
+                for node in tree_.walk():
+                    first = features_of(node)
+                    assert node._features is first
+                    assert features_of(node) is first
+                    assert first == frag._walk_features(node)
+
+
 class TestInverse:
     def test_inverse_axes(self):
         assert inverse(parse_query("*")) == parse_query("^")
