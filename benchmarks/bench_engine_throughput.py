@@ -7,11 +7,10 @@ Not a paper figure — this benchmark guards the batch engine
   traffic shape) is run twice in one process; the warm pass must hit the
   decision cache instead of re-running ``decide()`` (the acceptance bar
   is ≥ 10× fewer ``decide()`` invocations, asserted here);
-* **serial vs. parallel vs. grouped** — a heavy-fragment workload
-  (EXPTIME types fixpoint) is run with 1 worker (inline), with an
-  ungrouped process pool, and with the plan-grouped scheduler on the
-  same pool; wall-clock per configuration is reported and grouped
-  verdicts must match ungrouped ones (see ``bench_plan_groups.py`` for
+* **serial vs. parallel** — a heavy-fragment workload (EXPTIME types
+  fixpoint) is run with 1 worker (inline chunks) and on each pool size;
+  wall-clock per configuration is reported and every configuration
+  must give the serial run's verdicts (see ``bench_plan_groups.py`` for
   the dedicated grouped-throughput demonstration).
 
 * **tracing overhead** — the duplicate-heavy workload is run with the
@@ -170,19 +169,14 @@ def test_serial_vs_parallel(report, rng):
     registry = _heavy_registry(rng)
     jobs = _heavy_jobs(rng, registry, N_HEAVY)
 
-    # serial (inline), then each pool size without and with plan grouping
-    configurations = [(1, False)]
-    for workers in POOL_WORKERS:
-        configurations.append((workers, False))
-        configurations.append((workers, True))
-
     rows = []
     serial_elapsed = None
-    verdicts_by_mode: dict[tuple[int, bool], list] = {}
-    for workers, grouped in configurations:
+    verdicts_by_workers: dict[int, list] = {}
+    # serial (inline chunks), then each pool size
+    for workers in (1, *POOL_WORKERS):
         engine = BatchEngine(
             registry=registry, cache=DecisionCache(capacity=8192),
-            workers=workers, group_by_plan=grouped,
+            workers=workers,
         )
         start = time.perf_counter()
         outcome = engine.run(jobs)
@@ -190,21 +184,21 @@ def test_serial_vs_parallel(report, rng):
         if workers == 1:
             serial_elapsed = elapsed
         assert outcome.stats.errors == 0
-        verdicts_by_mode[(workers, grouped)] = [
+        verdicts_by_workers[workers] = [
             result.satisfiable for result in outcome.results
         ]
         speedup = serial_elapsed / elapsed if elapsed else float("inf")
         rows.append([
-            workers, "yes" if grouped else "no", outcome.stats.jobs,
+            workers, outcome.stats.jobs,
             outcome.stats.decide_calls, outcome.stats.pool_decides,
             outcome.stats.plan_groups, f"{elapsed * 1e3:.1f} ms",
             f"{speedup:.2f}x",
         ])
-    # grouping is a scheduling change only: identical verdicts everywhere
-    baseline = verdicts_by_mode[(1, False)]
-    assert all(verdicts == baseline for verdicts in verdicts_by_mode.values())
+    # the pool is a scheduling change only: identical verdicts everywhere
+    baseline = verdicts_by_workers[1]
+    assert all(verdicts == baseline for verdicts in verdicts_by_workers.values())
     table = format_table(
-        ["workers", "grouped", "jobs", "decide()", "pooled", "groups",
+        ["workers", "jobs", "decide()", "pooled", "groups",
          "wall", "vs serial"],
         rows,
     )

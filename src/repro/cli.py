@@ -39,11 +39,10 @@ Subcommands
             --schema catalog=catalog.dtd --schema docs=docs.dtd \
             --out results.jsonl --workers 4 --repeat 2 --state-tier state/
 
-    Heavy jobs are grouped by plan × schema and each group runs as one
-    worker task with shared per-plan setup; ``--no-group-by-plan``
-    restores per-job dispatch and ``--group-chunk-size N`` bounds the
-    jobs per dispatched group.  Chunks route to **persistent worker
-    lanes** by schema-fingerprint affinity, so a lane keeps each
+    Heavy jobs are grouped by plan × schema and each group chunk runs as
+    one worker task with shared per-plan setup; ``--group-chunk-size N``
+    bounds the jobs per dispatched chunk.  Chunks route to **persistent
+    worker lanes** by schema-fingerprint affinity, so a lane keeps each
     schema's DTD and prepared contexts warm across chunks;
     ``--no-affinity`` restores stateless pooling and
     ``--lane-queue-depth N`` tunes the spill-over threshold.
@@ -348,7 +347,6 @@ def _make_engine(args: argparse.Namespace, registry, tracer) -> BatchEngine:
         cache=DecisionCache(capacity=args.cache_size),
         workers=args.workers,
         state_tier=args.state_tier,
-        group_by_plan=args.group_by_plan,
         group_chunk_size=args.group_chunk_size,
         decision_cap_per_schema=args.decision_cap,
         telemetry_max_age_days=args.telemetry_max_age,
@@ -684,12 +682,6 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers", type=int, default=1,
         help="process-pool size for heavy (EXPTIME/NEXPTIME) jobs (default 1: inline)",
-    )
-    parser.add_argument(
-        "--group-by-plan", action=argparse.BooleanOptionalAction, default=None,
-        help="group pooled jobs by plan and dispatch each group as one "
-             "worker task with shared per-plan setup (default: on, or the "
-             "state tier's persisted setting)",
     )
     parser.add_argument(
         "--group-chunk-size", type=int, default=None, metavar="N",

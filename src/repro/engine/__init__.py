@@ -39,7 +39,6 @@ from repro.engine.batch import (
     Job,
     JobResult,
     PlanGroup,
-    plan_route,
 )
 from repro.engine.cache import CachedDecision, DecisionCache, decision_key, decision_key_for
 from repro.engine.executors import (
@@ -66,7 +65,7 @@ from repro.engine.statetier import StateTier, resolve_tier_path
 
 __all__ = [
     "BatchEngine", "BatchReport", "EngineStats", "Job", "JobResult",
-    "PlanGroup", "plan_route",
+    "PlanGroup",
     "CachedDecision", "DecisionCache", "decision_key", "decision_key_for",
     "ChunkOutcome", "ChunkTask", "Executor", "ExecutorStats",
     "InlineExecutor", "PersistentPoolExecutor", "WorkerRuntime",

@@ -1,12 +1,13 @@
 """The batch satisfiability engine.
 
-:class:`BatchEngine` layers three amortizations over
-:func:`repro.sat.dispatch.decide` for the serve-many-queries-per-schema
+:class:`BatchEngine` layers its amortizations over the planner's
+:func:`repro.sat.planner.execute_plan` (the executor behind the public
+:func:`repro.sat.dispatch.decide`) for the serve-many-queries-per-schema
 workload:
 
 1. **per-schema artifacts** — DTD parsing, classification, and graph
-   construction run once per schema in the :class:`SchemaRegistry` and are
-   passed to the dispatcher through its ``artifacts`` hook;
+   construction run once per schema in the :class:`SchemaRegistry` and
+   feed the planner's trait lookups;
 2. **plan caching** — routing goes through the query planner
    (:mod:`repro.sat.planner`); the resulting
    :class:`~repro.sat.planner.Plan` is cached per feature signature on the
@@ -14,23 +15,23 @@ workload:
    planner invocations and jobs group by plan;
 3. **decision caching** — a bounded LRU keyed on canonical query form ×
    schema fingerprint (:class:`DecisionCache`), so repeated questions
-   (including syntactic variants) skip ``decide()`` entirely;
-4. **parallel heavy jobs** — jobs whose plan routes to the heavy
-   EXPTIME/NEXPTIME/bounded procedures (``plan.route == "pool"``) run on a
-   ``concurrent.futures`` process pool, while PTIME plans are decided
-   inline (forking a worker would cost more than the decision);
-5. **plan-grouped scheduling** — pooled jobs are partitioned by
-   ``Plan.telemetry_key`` × schema fingerprint into :class:`PlanGroup`
-   chunks and each chunk is dispatched as **one** worker task: the chunk
-   pickles the DTD and plan once instead of per job, and the decider
-   chain's ``prepare`` hooks (:class:`repro.sat.planner.PlanContexts`)
-   run once per chunk, so N groupmates share per-plan setup (the types
-   fixpoint's automata, the bounded engine's schema classification and
-   word tables) that ungrouped dispatch rebuilds N times.  Disable with
-   ``group_by_plan=False`` (``--no-group-by-plan``); grouping is a pure
-   scheduling change — verdicts, cache contents, and telemetry verdict
-   mixes are identical either way (see ``tests/test_metamorphic.py``);
-6. **persistent worker runtimes with schema affinity** — every chunk
+   (including syntactic variants) skip the deciders entirely;
+4. **plan-grouped heavy jobs** — PTIME plans are decided inline (forking
+   a worker would cost more than the decision); every job whose plan
+   routes to the heavy EXPTIME/NEXPTIME/bounded procedures
+   (``plan.route == "pool"``) is queued into a :class:`PlanGroup` keyed
+   by ``Plan.telemetry_key`` × schema fingerprint, and each chunk of at
+   most ``group_chunk_size`` questions runs as **one** executor task —
+   on the worker lanes when ``workers > 1``, on the inline executor
+   otherwise.  A chunk pickles the DTD and plan once instead of per job,
+   and the decider chain's ``prepare`` hooks
+   (:class:`repro.sat.planner.PlanContexts`) run once per chunk, so N
+   groupmates share per-plan setup (the types fixpoint's automata, the
+   bounded engine's schema classification and word tables).  Grouping is
+   a pure scheduling change: verdicts, cache contents, and telemetry
+   verdict mixes equal per-job decisions (see
+   ``tests/test_metamorphic.py``);
+5. **persistent worker runtimes with schema affinity** — every chunk
    runs on the :class:`~repro.engine.executors.Executor` abstraction:
    inline chunks (and the inline PTIME decides' ``prepare`` contexts)
    on an engine-lifetime
@@ -42,10 +43,10 @@ workload:
    consistent hash, spilling over when the preferred lane's queue is
    deep), the DTD ships to a lane only on first touch, and a dead lane
    is respawned cold with its in-flight chunks retried once.  Disable
-   with ``affinity=False`` (``--no-affinity``) for PR-4-style stateless
-   pooling; affinity is a pure scheduling change too — same
-   bit-identical guarantees as grouping;
-7. **an engine lifecycle** — executors are *engine*-lifetime, not
+   with ``affinity=False`` (``--no-affinity``) for stateless pooling;
+   affinity is a pure scheduling change too — same bit-identical
+   guarantees as grouping;
+6. **an engine lifecycle** — executors are *engine*-lifetime, not
    run-lifetime: worker lanes, their shipped-DTD sets, and their runtime
    context caches persist across :meth:`BatchEngine.run` calls, so the
    second batch over the same schemas ships zero DTDs and starts from
@@ -186,7 +187,7 @@ class EngineStats:
     # plan-grouped scheduling (this run): chunks dispatched, unique jobs
     # executed inside a chunk, jobs that reused a groupmate's prepare()
     # context, and chunks whose *primary* prepare() failed (they fell
-    # back to ungrouped per-job execution but still ran as one task)
+    # back to per-job setup but still ran as one task)
     plan_groups: int = 0
     grouped_jobs: int = 0
     setup_reuse: int = 0
@@ -457,23 +458,6 @@ class BatchReport:
         return counts
 
 
-def plan_route(query: Path, artifacts: SchemaArtifacts | None) -> str:
-    """``"inline"`` for queries whose plan is PTIME, ``"pool"`` for those
-    routed to the heavy EXPTIME/NEXPTIME/bounded procedures.
-
-    Thin wrapper over the query planner (kept for callers that only care
-    about the inline/pool split); the :class:`BatchEngine` itself consults
-    the full :class:`~repro.sat.planner.Plan` from the schema's plan
-    cache.
-    """
-    return _ROUTE_PLANNER.plan_query(query, artifacts=artifacts).route
-
-
-#: module-level planner backing the plan_route convenience wrapper; plans
-#: for registered schemas still land in the shared per-artifact caches
-_ROUTE_PLANNER = Planner()
-
-
 @dataclass
 class _GroupEntry:
     """One unique question queued in a plan group: its decision-cache
@@ -536,7 +520,6 @@ class BatchEngine:
         cost_model: CostModel | None = None,
         telemetry: PlanTelemetry | None = None,
         state_tier: "StateTier | str | None" = None,
-        group_by_plan: bool | None = None,
         group_chunk_size: int | None = None,
         decision_cap_per_schema: int | None = None,
         telemetry_max_age_days: float | None = None,
@@ -570,7 +553,6 @@ class BatchEngine:
         self._explicit_tunables = {
             name
             for name, value in (
-                ("group_by_plan", group_by_plan),
                 ("group_chunk_size", group_chunk_size),
                 ("decision_cap_per_schema", decision_cap_per_schema),
                 ("telemetry_max_age_days", telemetry_max_age_days),
@@ -579,7 +561,6 @@ class BatchEngine:
             )
             if value is not None
         }
-        self.group_by_plan = group_by_plan if group_by_plan is not None else True
         self.group_chunk_size = (
             group_chunk_size if group_chunk_size is not None
             else DEFAULT_GROUP_CHUNK_SIZE
@@ -680,8 +661,8 @@ class BatchEngine:
         if state.decisions:
             self.persisted_decisions_loaded += self.cache.load_records(state.decisions)
         for name in (
-            "group_by_plan", "group_chunk_size",
-            "decision_cap_per_schema", "telemetry_max_age_days",
+            "group_chunk_size", "decision_cap_per_schema",
+            "telemetry_max_age_days",
             "affinity", "lane_queue_depth",
         ):
             if name in state.scheduler and name not in self._explicit_tunables:
@@ -723,7 +704,6 @@ class BatchEngine:
             cost_model=self.cost_model,
             cache=self.cache,
             scheduler={
-                "group_by_plan": self.group_by_plan,
                 "group_chunk_size": self.group_chunk_size,
                 "decision_cap_per_schema": self.decision_cap_per_schema,
                 "telemetry_max_age_days": self.telemetry_max_age_days,
@@ -898,19 +878,14 @@ class BatchEngine:
         # reassembled here at absorb time from lane-side outcomes
         traces: dict[int, JobTrace] = {}
         results: list[JobResult | None] = []
-        # ungrouped pooled coalescing: key -> the task's bookkeeping
-        # record (its index list grows as duplicates coalesce)
-        pending: dict[CacheKey, tuple] = {}
         # plan-grouped scheduling: (schema fingerprint, telemetry key) ->
         # group of queued pooled jobs, plus the key -> entry map that
         # coalesces duplicates queued into a group
         groups: dict[tuple[str | None, str], PlanGroup] = {}
         grouped_keys: dict[CacheKey, _GroupEntry] = {}
-        # every chunk handed to an executor, by task id (last element is
-        # always the enqueue timestamp, for dwell measurement):
-        # ("chunk", group, entries, enqueued) |
-        # ("single", key, indices, plan, artifacts, canonical, enqueued)
-        submitted: dict[int, tuple] = {}
+        # every chunk handed to an executor, by task id:
+        # (group, entries, enqueue timestamp for dwell measurement)
+        submitted: dict[int, tuple[PlanGroup, list[_GroupEntry], float]] = {}
         # the engine-lifetime pool, acquired lazily so a run with no
         # pooled work never forks lanes; lane_respawns is reported as a
         # per-run delta against the executor's lifetime counter
@@ -937,7 +912,7 @@ class BatchEngine:
         def submit_chunk(executor: Executor, group: PlanGroup,
                          chunk: list[_GroupEntry]) -> None:
             task_id = self._take_task_id()
-            submitted[task_id] = ("chunk", group, chunk, time.perf_counter())
+            submitted[task_id] = (group, chunk, time.perf_counter())
             executor.submit(
                 ChunkTask(
                     task_id=task_id,
@@ -1029,14 +1004,6 @@ class BatchEngine:
                     # the trace finishes at absorb time, alongside its
                     # leader, with a span naming the leader's trace
                     continue
-                if key in pending:
-                    stats.coalesced += 1
-                    pending[key][2].append(index)
-                    results[index] = self._result(
-                        job, artifacts,
-                        CachedDecision(None, "pending"), route="pool",
-                    )
-                    continue
 
                 if trace is not None:
                     plan_hits_step = self.planner.cache_hits
@@ -1056,11 +1023,10 @@ class BatchEngine:
                         "route",
                         attrs={
                             "route": plan.route,
-                            "grouped": plan.route == "pool" and self.group_by_plan,
                             "workers": self.workers,
                         },
                     )
-                if plan.route == "pool" and self.group_by_plan:
+                if plan.route == "pool":
                     # queue for plan-grouped dispatch after the scan; the
                     # group pays worker setup (prepare hooks, DTD pickle)
                     # once for all its jobs
@@ -1096,34 +1062,6 @@ class BatchEngine:
                         group.dispatched += len(chunk)
                         submit_chunk(pool, group, chunk)
                     continue
-                if plan.route == "pool" and self.workers > 1:
-                    pool = acquire_pool()
-                    task_id = self._take_task_id()
-                    record = (
-                        "single", key, [index], plan, artifacts, canonical,
-                        time.perf_counter(),
-                    )
-                    submitted[task_id] = record
-                    pending[key] = record
-                    pool.submit(
-                        ChunkTask(
-                            task_id=task_id,
-                            fingerprint=(
-                                artifacts.fingerprint if artifacts else None
-                            ),
-                            canonicals=(canonical,),
-                            plan=plan,
-                            bounds=self.bounds,
-                            grouped=False,
-                        ),
-                        artifacts.dtd if artifacts else None,
-                    )
-                    results[index] = self._result(
-                        job, artifacts, CachedDecision(None, "pending"),
-                        route="pool",
-                    )
-                    continue
-
                 if inline_runtime is None:
                     inline_runtime = self._inline().runtime
                 fingerprint = artifacts.fingerprint if artifacts else None
@@ -1145,7 +1083,10 @@ class BatchEngine:
                     decision = CachedDecision(
                         outcome.satisfiable, outcome.method, outcome.reason
                     )
-                except ReproError as error:
+                except Exception as error:
+                    # any exception — a decline with no fallback, or a
+                    # latent decider bug — fails only this job, as a chunk
+                    # question's failure does on the grouped path
                     stats.errors += 1
                     stats.decide_calls += 1
                     stats.inline_decides += 1
@@ -1269,7 +1210,7 @@ class BatchEngine:
     def _absorb_all(
         self,
         outcomes: Iterable[tuple[ChunkTask, ChunkOutcome]],
-        submitted: dict[int, tuple],
+        submitted: dict[int, tuple[PlanGroup, list[_GroupEntry], float]],
         results: list[JobResult | None],
         stats: EngineStats,
         route: str,
@@ -1302,7 +1243,7 @@ class BatchEngine:
             if outcome.retried:
                 stats.chunk_retries += 1
             # enqueue→absorb dwell: queue + IPC time, execution excluded
-            enqueued = record[-1]
+            group, chunk, enqueued = record
             dwell_ms = max(
                 0.0,
                 (time.perf_counter() - enqueued) * 1e3 - outcome.elapsed_ms,
@@ -1311,59 +1252,44 @@ class BatchEngine:
             if outcome.lane >= 0:
                 stats.lane_contexts[outcome.lane] = outcome.runtime_contexts
                 stats.lane_evictions[outcome.lane] = outcome.runtime_evictions
-            if record[0] == "chunk":
-                _, group, chunk, _ = record
-                stats.decide_calls += len(chunk)
-                if route == "pool":
-                    stats.pool_decides += len(chunk)
-                else:
-                    stats.inline_decides += len(chunk)
-                if outcome.error is not None:
-                    # the whole chunk failed (its lane died and the one
-                    # retry died too): per-job errors, nothing cached
-                    jobs_hit = sum(len(entry.indices) for entry in chunk)
-                    stats.errors += jobs_hit
-                    self.telemetry.record_failure(group.plan, jobs_hit)
-                    for entry in chunk:
-                        for index in entry.indices:
-                            result = results[index]
-                            result.error = outcome.error
-                            result.method = "error"
-                            result.route = "error"
-                            if tracer is not None and traces is not None:
-                                trace = traces.get(index)
-                                if trace is not None:
-                                    trace.span(
-                                        "chunk", status=FAILED,
-                                        attrs=self._chunk_attrs(
-                                            outcome, dwell_ms, len(chunk),
-                                            error=outcome.error,
-                                        ),
-                                    )
-                                    tracer.finish(
-                                        trace, verdict="error",
-                                        route="error", plan=group.plan,
-                                    )
-                            emit(index)
-                    continue
-                self._absorb_group(
-                    group, chunk, outcome, results, stats, route=route,
-                    tracer=tracer, traces=traces, dwell_ms=dwell_ms,
-                    emit=emit,
-                )
+            stats.decide_calls += len(chunk)
+            if route == "pool":
+                stats.pool_decides += len(chunk)
             else:
-                _, key, indices, plan, artifacts, canonical, _ = record
-                stats.decide_calls += 1
-                if route == "pool":
-                    stats.pool_decides += 1
-                else:
-                    stats.inline_decides += 1
-                self._absorb_single(
-                    key, indices, plan, artifacts, canonical, outcome,
-                    results, stats,
-                    tracer=tracer, traces=traces, dwell_ms=dwell_ms,
-                    emit=emit,
-                )
+                stats.inline_decides += len(chunk)
+            if outcome.error is not None:
+                # the whole chunk failed (its lane died and the one
+                # retry died too): per-job errors, nothing cached
+                jobs_hit = sum(len(entry.indices) for entry in chunk)
+                stats.errors += jobs_hit
+                self.telemetry.record_failure(group.plan, jobs_hit)
+                for entry in chunk:
+                    for index in entry.indices:
+                        result = results[index]
+                        result.error = outcome.error
+                        result.method = "error"
+                        result.route = "error"
+                        if tracer is not None and traces is not None:
+                            trace = traces.get(index)
+                            if trace is not None:
+                                trace.span(
+                                    "chunk", status=FAILED,
+                                    attrs=self._chunk_attrs(
+                                        outcome, dwell_ms, len(chunk),
+                                        error=outcome.error,
+                                    ),
+                                )
+                                tracer.finish(
+                                    trace, verdict="error",
+                                    route="error", plan=group.plan,
+                                )
+                        emit(index)
+                continue
+            self._absorb_group(
+                group, chunk, outcome, results, stats, route=route,
+                tracer=tracer, traces=traces, dwell_ms=dwell_ms,
+                emit=emit,
+            )
 
     @staticmethod
     def _chunk_attrs(
@@ -1413,8 +1339,9 @@ class BatchEngine:
         shared_setup = outcome.shared_setup
         stats.plan_groups += 1
         stats.group_sizes.append(len(chunk))
-        # only a failed *primary* prepare means the chunk ran ungrouped;
-        # a fallback hook failing mid-chunk leaves the shared setup intact
+        # only a failed *primary* prepare means the chunk ran with per-job
+        # setup; a fallback hook failing mid-chunk leaves the shared setup
+        # intact
         if outcome.prepare_error is not None and not shared_setup:
             stats.prepare_fallbacks += 1
         executed = 0
@@ -1515,84 +1442,6 @@ class BatchEngine:
                 result.cached = ask_position > 0  # coalesced onto the first ask
                 result.elapsed_ms = trace.elapsed_ms if ask_position == 0 else 0.0
                 emit(index)
-
-    def _absorb_single(
-        self,
-        key: CacheKey,
-        indices: list[int],
-        plan: Plan,
-        artifacts: SchemaArtifacts | None,
-        canonical: Path,
-        outcome: ChunkOutcome,
-        results: list[JobResult | None],
-        stats: EngineStats,
-        tracer: Tracer | None = None,
-        traces: dict[int, JobTrace] | None = None,
-        dwell_ms: float = 0.0,
-        emit: Callable[[int], None] = lambda index: None,
-    ) -> None:
-        """Fold one ungrouped pooled question back in (the
-        ``--no-group-by-plan`` path: no group counters, no shared setup)."""
-        if outcome.error is not None:
-            satisfiable, method, reason, error, attempts = (
-                None, "error", "", outcome.error, [],
-            )
-        else:
-            satisfiable, method, reason, error, attempts = outcome.outcomes[0]
-        verdict = "error" if error is not None else verdict_name(satisfiable)
-        if tracer is not None and traces is not None:
-            leader = traces.get(indices[0])
-            if leader is not None:
-                leader.span(
-                    "chunk",
-                    ms=sum(ms for _, ms, _ in attempts),
-                    status=FAILED if error is not None else "ok",
-                    attrs=self._chunk_attrs(outcome, dwell_ms, 1, error=error),
-                    children=attempt_spans(attempts),
-                )
-                tracer.finish(
-                    leader, verdict=verdict,
-                    route="error" if error is not None else "pool",
-                    plan=plan,
-                )
-            for index in indices[1:]:
-                follower = traces.get(index)
-                if follower is not None:
-                    follower.span(
-                        "coalesced",
-                        attrs={
-                            "leader": (
-                                leader.trace_id if leader is not None else None
-                            ),
-                            "lane": outcome.lane,
-                        },
-                    )
-                    tracer.finish(
-                        follower, verdict=verdict,
-                        route="error" if error is not None else "pool",
-                        plan=plan,
-                    )
-        if error is not None:
-            stats.errors += len(indices)
-            self.telemetry.record_failure(plan, len(indices))
-            for index in indices:
-                results[index].error = error
-                results[index].method = "error"
-                results[index].route = "error"
-                emit(index)
-            return
-        trace = ExecutionTrace(attempts=attempts)
-        self._observe(stats, plan, artifacts, trace, verdict_name(satisfiable))
-        self._explore(stats, plan, canonical, artifacts, trace)
-        decision = CachedDecision(satisfiable, method, reason)
-        self.cache.put(key, decision)
-        for position, index in enumerate(indices):
-            result = results[index]
-            result.satisfiable = satisfiable
-            result.method = method
-            result.reason = reason
-            result.cached = position > 0  # coalesced onto the first ask
-            emit(index)
 
     def _observe(
         self,
@@ -1716,7 +1565,7 @@ class BatchEngine:
             elapsed_ms=elapsed_ms,
         )
 
-    def _error_result(self, raw, error: ReproError) -> JobResult:
+    def _error_result(self, raw, error: Exception) -> JobResult:
         query_text = schema = job_id = None
         try:
             job = Job.coerce(raw)

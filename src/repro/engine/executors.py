@@ -1,16 +1,15 @@
 """Execution layer: persistent worker runtimes behind one abstraction.
 
-The plan-grouped scheduler (PR 4) made heavy jobs cheap *within* a chunk
-— ``DeciderSpec.prepare`` contexts are shared by groupmates — but every
-chunk still landed on a stateless ``ProcessPoolExecutor`` task, so the
-Glushkov NFAs, termination fixpoints, and word tables of a schema were
-rebuilt whenever its *next* chunk arrived.  Real DTD workloads
-concentrate on a few recurring schemas (Ishihara et al., arXiv:1308.0769),
-which makes the schema the natural long-lived unit of work.
+The plan-grouped scheduler makes heavy jobs cheap *within* a chunk
+— ``DeciderSpec.prepare`` contexts are shared by groupmates — but on a
+stateless ``ProcessPoolExecutor`` task the Glushkov NFAs, termination
+fixpoints, and word tables of a schema would be rebuilt whenever its
+*next* chunk arrived.  Real DTD workloads concentrate on a few recurring
+schemas (Ishihara et al., arXiv:1308.0769), which makes the schema the
+natural long-lived unit of work.
 
-This module replaces the ad-hoc ``executor.submit(...)`` calls in
-:class:`~repro.engine.batch.BatchEngine` with one :class:`Executor`
-abstraction and two implementations:
+Every chunk :class:`~repro.engine.batch.BatchEngine` dispatches goes
+through one :class:`Executor` abstraction with two implementations:
 
 * :class:`InlineExecutor` — runs chunks in-process (``workers == 1``),
   holding one :class:`WorkerRuntime` for the engine's lifetime, so the
@@ -30,11 +29,11 @@ abstraction and two implementations:
 
 Affinity is a *scheduling* feature: with ``affinity=False`` the same
 lanes run statelessly (least-loaded routing, a fresh context per chunk,
-the DTD shipped every time) — the PR-4 behaviour, kept as the
-benchmark baseline (``benchmarks/bench_worker_affinity.py``) and as an
-escape hatch.  Either way verdicts, decision-cache contents, and
-telemetry verdict mixes are bit-identical: runtimes cache *pure*
-setup, never answers (``tests/test_metamorphic.py``).
+the DTD shipped every time), kept as the benchmark baseline
+(``benchmarks/bench_worker_affinity.py``) and as an escape hatch.
+Either way verdicts, decision-cache contents, and telemetry verdict
+mixes are bit-identical: runtimes cache *pure* setup, never answers
+(``tests/test_metamorphic.py``).
 """
 
 from __future__ import annotations
@@ -64,19 +63,14 @@ DEFAULT_LANE_QUEUE_DEPTH = 4
 @dataclass(frozen=True)
 class ChunkTask:
     """One unit of executor work: a chunk of pre-canonicalized questions
-    sharing a plan and a schema.
-
-    ``grouped=False`` marks an ungrouped single-question dispatch
-    (``--no-group-by-plan``): it runs without shared contexts and without
-    ticking group counters, exactly like a PR-4 per-job pool future.
-    """
+    sharing a plan and a schema (one :class:`~repro.engine.batch.PlanGroup`
+    chunk — the only shape heavy work reaches an executor in)."""
 
     task_id: int
     fingerprint: str | None
     canonicals: tuple
     plan: Plan
     bounds: Any = None
-    grouped: bool = True
 
 
 @dataclass
@@ -153,8 +147,7 @@ class WorkerRuntime:
     caches hold *pure* setup — Glushkov automata, termination fixpoints,
     word tables — never verdicts, so a warm runtime cannot change an
     answer (differential-checked).  With ``caching=False`` the runtime
-    degrades to PR-4 behaviour: fresh contexts per chunk, nothing
-    retained.
+    is stateless: fresh contexts per chunk, nothing retained.
 
     The context cache (the heavy objects) is LRU-bounded at
     ``context_capacity`` (fingerprint × plan) entries, so a worker that
@@ -259,11 +252,6 @@ class WorkerRuntime:
             return ChunkOutcome(
                 error=f"lane runtime has no schema {task.fingerprint[:12]}"
             )
-        if not task.grouped:
-            return ChunkOutcome(outcomes=[
-                self._run_question(task, canonical, dtd, contexts=None)
-                for canonical in task.canonicals
-            ])
         contexts, runtime_hit = self.contexts_for(
             task.fingerprint, task.plan, dtd
         )

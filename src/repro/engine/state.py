@@ -11,10 +11,11 @@ die with the process:
   latency (:class:`~repro.sat.costmodel.CostModel`);
 * **the decision cache** — verdicts keyed on canonical form × schema
   fingerprint (bounded; only current entries are persisted);
-* **scheduler tunables** — the plan-grouped scheduler's settings
-  (``group_by_plan``, ``group_chunk_size``), the executor layer's
-  (``affinity``, ``lane_queue_depth``) plus the hygiene knobs, so a
-  tuned deployment keeps its configuration across processes.
+* **scheduler tunables** — the plan-grouped scheduler's
+  ``group_chunk_size``, the executor layer's (``affinity``,
+  ``lane_queue_depth``) plus the hygiene knobs, so a tuned deployment
+  keeps its configuration across processes.  A stored name the engine
+  no longer has (such as a retired switch) is skipped.
 
 The shared SQLite tier (:mod:`repro.engine.statetier`, ``--state-tier``)
 persists all of it; :class:`PersistedState` is the shape both its loads
@@ -96,7 +97,6 @@ def _warn(warnings: list[str], message: str) -> None:
 #: persisted scheduler tunables: name -> validator returning the
 #: coerced value or raising
 _SCHEDULER_TUNABLES = {
-    "group_by_plan": lambda value: _strict_bool(value),
     "group_chunk_size": lambda value: _positive_int(value),
     "decision_cap_per_schema": lambda value: _positive_int(value),
     "telemetry_max_age_days": lambda value: _positive_float(value),

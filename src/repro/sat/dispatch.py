@@ -5,9 +5,10 @@ procedure the library has for the query's fragment and the DTD's class,
 mirroring the paper's result map.  Routing is delegated to the query
 planner (:mod:`repro.sat.planner`): the query's feature signature and the
 schema's classification select a :class:`~repro.sat.planner.Plan` —
-rewrite passes, decider, fallback chain — which is then executed.  Pass a
-pre-computed ``plan`` to skip planning entirely (the batch engine does,
-from its per-schema plan cache).
+rewrite passes, decider, fallback chain — which is then executed.  The
+batch engine does not come through here: it executes plans from its
+per-schema plan cache with :func:`~repro.sat.planner.execute_plan`
+directly.
 
 The result map below is rendered from the decider registry
 (:mod:`repro.sat.registry`) at import time, so this table cannot drift
@@ -18,11 +19,10 @@ from __future__ import annotations
 
 from repro.dtd.model import DTD
 from repro.sat.bounded import Bounds
-from repro.sat.planner import DEFAULT_PLANNER, Plan, execute_plan
+from repro.sat.planner import DEFAULT_PLANNER, execute_plan
 from repro.sat.registry import routing_table
 from repro.sat.result import SatResult
 from repro.xpath.ast import Path
-from repro.xpath.fragments import features_of
 
 
 def decide(
@@ -31,7 +31,6 @@ def decide(
     bounds: Bounds | None = None,
     *,
     artifacts=None,
-    plan: Plan | None = None,
 ) -> SatResult:
     """Decide satisfiability of ``(query, dtd)`` — or of ``query`` alone
     over unconstrained trees when ``dtd`` is ``None`` — with the strongest
@@ -42,17 +41,10 @@ def decide(
     the schema-trait attributes).  When given, ``dtd`` may be omitted; the
     per-schema classification is reused and the routing decision is cached
     on the record's plan cache instead of being re-derived per call.
-
-    ``plan`` short-circuits planning with an already-computed
-    :class:`~repro.sat.planner.Plan` (it must have been built for this
-    query's feature signature and this schema's class).
     """
     if dtd is None and artifacts is not None:
         dtd = artifacts.dtd
-    if plan is None:
-        plan = DEFAULT_PLANNER.plan_for(
-            features_of(query), artifacts=artifacts, dtd=dtd
-        )
+    plan = DEFAULT_PLANNER.plan_query(query, artifacts=artifacts, dtd=dtd)
     return execute_plan(plan, query, dtd, bounds)
 
 

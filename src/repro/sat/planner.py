@@ -321,11 +321,11 @@ class ExecutionTrace:
 
     When the plan-grouped scheduler ran this execution as part of a
     :class:`~repro.engine.batch.PlanGroup` chunk, ``group_size`` is the
-    chunk's job count (0 = ungrouped), ``group_lead`` marks the chunk's
+    chunk's job count (0 = an inline decide), ``group_lead`` marks the chunk's
     first execution (so per-plan group counters tick once per chunk), and
     ``shared_setup`` records whether the chain's ``prepare`` contexts
     were available (a ``False`` means ``prepare`` failed and the chunk
-    fell back to ungrouped per-job execution).  ``runtime_hit`` marks a
+    fell back to per-job setup).  ``runtime_hit`` marks a
     chunk that found its contexts already prepared in a persistent
     worker runtime (schema-affinity scheduling) instead of building
     them itself."""
@@ -367,7 +367,7 @@ class PlanContexts:
     primary answers every question never pays for the fallbacks' setup —
     and the built context is reused by every later question in the
     chunk.  A ``prepare`` that raises marks its decider context-less
-    (per-job setup, i.e. ungrouped behavior) instead of failing
+    (per-job setup) instead of failing
     execution; the first error message is kept for reporting.
 
     An instance may also outlive one chunk: the executor layer's

@@ -282,7 +282,7 @@ class TestEnlargedCorpusThroughGroupedScheduler:
 
             tracer = Tracer(sinks=(JsonlTraceSink(FUZZ_TRACE_OUT),))
         engine = BatchEngine(
-            registry=registry, group_by_plan=True, affinity=True,
+            registry=registry, affinity=True,
             workers=FUZZ_WORKERS, tracer=tracer,
         )
         report = engine.run(jobs)

@@ -13,7 +13,6 @@ from repro.engine import (
     Job,
     SchemaRegistry,
     decision_key,
-    plan_route,
     read_jobs,
     read_jobs_file,
     schema_fingerprint,
@@ -22,7 +21,7 @@ from repro.engine import (
 )
 from repro.engine.cache import NO_SCHEMA, CachedDecision
 from repro.errors import EngineError
-from repro.sat import decide
+from repro.sat import Planner, decide
 from repro.workloads import batch_jobs, document_dtd
 from repro.xpath import parse_query
 from repro.xpath import fragments as frag
@@ -164,32 +163,36 @@ class TestDecisionCache:
 
 # -- routing ---------------------------------------------------------------------
 
+def _route(query_text, artifacts):
+    return Planner().plan_query(parse_query(query_text), artifacts=artifacts).route
+
+
 class TestPlanRoute:
     def test_ptime_fragments_inline(self, registry):
         threesat = registry.get("threesat")
-        assert plan_route(parse_query("X1 | **/T"), threesat) == "inline"
-        assert plan_route(parse_query("X1/>/X2"), threesat) == "inline"
-        assert plan_route(parse_query("A[B]"), None) == "inline"
-        assert plan_route(parse_query("A[@a = '1']"), None) == "inline"
+        assert _route("X1 | **/T", threesat) == "inline"
+        assert _route("X1/>/X2", threesat) == "inline"
+        assert _route("A[B]", None) == "inline"
+        assert _route("A[@a = '1']", None) == "inline"
 
     def test_heavy_fragments_pooled(self, registry):
         threesat = registry.get("threesat")
-        assert plan_route(parse_query("X1[not(T)]"), threesat) == "pool"
-        assert plan_route(parse_query("X1[not(@a = '1')]"), threesat) == "pool"
-        assert plan_route(parse_query("A[not(B)]"), None) == "pool"
+        assert _route("X1[not(T)]", threesat) == "pool"
+        assert _route("X1[not(@a = '1')]", threesat) == "pool"
+        assert _route("A[not(B)]", None) == "pool"
 
     def test_disjunction_free_qualifiers_inline(self, registry):
         disjfree = registry.get("disjfree")
-        assert plan_route(parse_query("A[C]"), disjfree) == "inline"
-        assert plan_route(parse_query("A[not(C)]"), disjfree) == "pool"
+        assert _route("A[C]", disjfree) == "inline"
+        assert _route("A[not(C)]", disjfree) == "pool"
         # threesat has disjunction but is duplicate-free: qualifiers stay
         # inline on the trait-gated realworld path (PR 9)
-        assert plan_route(parse_query("A[C]"), registry.get("threesat")) == "inline"
+        assert _route("A[C]", registry.get("threesat")) == "inline"
         # a schema outside every PTIME class still pools qualifier queries
         registry.register(
             "unrestrained", "root r\nr -> (A, B) + (A, C)\nA -> eps\nB -> eps\nC -> eps"
         )
-        assert plan_route(parse_query("A[C]"), registry.get("unrestrained")) == "pool"
+        assert _route("A[C]", registry.get("unrestrained")) == "pool"
 
 
 # -- the batch engine ------------------------------------------------------------
@@ -344,6 +347,54 @@ class TestBatchEngine:
         assert warm.stats.decide_calls * 10 <= cold.stats.decide_calls
         assert warm.stats.errors == 0
 
+    def test_inline_decider_exception_fails_only_its_job(
+        self, registry, monkeypatch
+    ):
+        # a non-ReproError from a PTIME decider (a latent bug) must fail
+        # only its own job, like a chunk question does — not abort the
+        # batch and forfeit the warm pool
+        import dataclasses
+
+        from repro.sat import registry as sat_registry
+
+        spec = sat_registry.get_decider("downward")
+
+        def flaky(query, dtd):
+            if "T" in str(query):
+                raise RuntimeError("latent decider bug")
+            return spec.fn(query, dtd)
+
+        monkeypatch.setitem(
+            sat_registry._REGISTRY, "downward",
+            dataclasses.replace(spec, fn=flaky),
+        )
+        with BatchEngine(registry=registry, workers=2, group_chunk_size=1) as engine:
+            engine.run([Job("X1[not(T)]", "threesat")])
+            pool = engine._pool_executor
+            assert pool is not None
+            report = engine.run([
+                # a heavy job in flight on the lanes while the inline
+                # decides run
+                Job("X2[not(F)]", "threesat", id="heavy"),
+                Job("X1", "threesat", id="first"),
+                Job("X2/T", "threesat", id="doomed"),
+                Job("X3/F", "threesat", id="last"),
+            ])
+            by_id = {result.id: result for result in report.results}
+            assert "latent decider bug" in by_id["doomed"].error
+            assert by_id["doomed"].route == "error"
+            assert by_id["first"].satisfiable is True
+            assert by_id["last"].satisfiable is True
+            assert by_id["heavy"].satisfiable is True
+            assert report.stats.errors == 1
+            assert report.stats.inline_decides == 3
+            assert engine._pool_executor is pool
+            assert report.stats.executor_resets == 0
+            assert sum(
+                stats.verdicts.get("error", 0)
+                for _, stats in engine.telemetry.items()
+            ) == 1
+
 
 # -- the plan-grouped scheduler --------------------------------------------------
 
@@ -385,6 +436,15 @@ class _CrashFirstExecutor:
         pass
 
 
+def _decided(registry, jobs) -> list:
+    """The per-job reference: each job's verdict from a stateless
+    :func:`repro.sat.decide` call."""
+    return [
+        decide(parse_query(job.query), registry.get(job.schema).dtd).satisfiable
+        for job in jobs
+    ]
+
+
 class TestGroupedScheduler:
     HEAVY = ["A[not(C)]", "A[not(B)]", ".[not(A)]", "B[not(A)]", "C[not(B)]"]
 
@@ -408,11 +468,8 @@ class TestGroupedScheduler:
         assert report.stats.plan_groups == expected_groups
         assert report.stats.grouped_jobs == n_jobs
         assert sum(report.stats.group_sizes) == n_jobs
-        # same questions, ungrouped: identical verdicts
-        ungrouped = self._engine(registry, group_by_plan=False).run(jobs)
-        assert [r.satisfiable for r in report.results] == [
-            r.satisfiable for r in ungrouped.results
-        ]
+        # same questions, decided one by one: identical verdicts
+        assert [r.satisfiable for r in report.results] == _decided(registry, jobs)
 
     def test_empty_batch_forms_no_groups(self, registry):
         report = self._engine(registry).run([])
@@ -461,17 +518,13 @@ class TestGroupedScheduler:
         assert report.stats.prepare_fallbacks == 1
         assert report.stats.plan_groups == 1
         assert report.stats.setup_reuse == 0
-        ungrouped = self._engine(registry, group_by_plan=False).run(jobs)
-        assert [r.satisfiable for r in report.results] == [
-            r.satisfiable for r in ungrouped.results
-        ]
+        assert [r.satisfiable for r in report.results] == _decided(registry, jobs)
 
     def test_unexpected_exception_does_not_poison_groupmates(
         self, registry, monkeypatch
     ):
         # a NON-ReproError from one question (a latent decider bug, the
-        # exact thing the fuzz target hunts) must fail only that job —
-        # mirroring how ungrouped pool futures fail per question
+        # exact thing the fuzz target hunts) must fail only that job
         import dataclasses
 
         from repro.sat import registry as sat_registry

@@ -50,7 +50,7 @@ def registry():
     return registry
 
 
-def _chunk_task(registry, name, queries, task_id=1, grouped=True):
+def _chunk_task(registry, name, queries, task_id=1):
     artifacts = registry.get(name)
     canonicals = tuple(canonicalize(parse_query(text)) for text in queries)
     plan = Planner().plan_query(
@@ -61,7 +61,6 @@ def _chunk_task(registry, name, queries, task_id=1, grouped=True):
         fingerprint=artifacts.fingerprint,
         canonicals=canonicals,
         plan=plan,
-        grouped=grouped,
     )
     return task, artifacts.dtd
 
@@ -109,17 +108,6 @@ class TestWorkerRuntime:
         assert outcome.error is not None
         assert "no schema" in outcome.error
         assert outcome.outcomes == []
-
-    def test_ungrouped_chunk_has_no_group_bookkeeping(self, registry):
-        runtime = WorkerRuntime()
-        task, dtd = _chunk_task(
-            registry, "disjfree", HEAVY[:1], grouped=False
-        )
-        outcome = runtime.run_chunk(task, dtd)
-        assert outcome.error is None
-        assert outcome.shared_setup is False
-        assert outcome.runtime_hit is False
-        assert [entry[0] for entry in outcome.outcomes] == [True]
 
     def test_transient_prepare_failure_is_retried_next_chunk(
         self, registry, monkeypatch
@@ -392,7 +380,7 @@ class TestPersistentPoolExecutor:
                 registry, "disjfree", HEAVY[:1], task_id=1
             )
             healthy, threesat_dtd = _chunk_task(
-                registry, "threesat", ("X1/T",), task_id=2, grouped=False
+                registry, "threesat", ("X1/T",), task_id=2
             )
             executor.submit(doomed, dtd)
             executor.submit(healthy, threesat_dtd)

@@ -4,9 +4,10 @@ Telemetry, cost-based routing, plan-cache persistence, and plan-grouped
 scheduling are *performance* features: none of them may change a single
 verdict.  The tests here decide one corpus several ways — static
 ranking, cost-based ranking after calibration, a cold engine warmed from
-a persisted state tier, and the plan-grouped scheduler on/off — and
-require bit-identical verdicts (for grouping also bit-identical
-decision-cache contents and telemetry verdict mixes), plus unit coverage
+a persisted state tier, and the plan-grouped scheduler against per-job
+decisions — and require bit-identical verdicts (for grouping also
+bit-identical decision-cache contents and telemetry verdict mixes
+against a one-question-per-chunk engine), plus unit coverage
 of the telemetry aggregator and the state serialization round trip.
 """
 
@@ -25,11 +26,12 @@ from repro.engine import (
     BatchEngine,
     DecisionCache,
     EngineStats,
+    Job,
     SchemaRegistry,
     StateTier,
 )
 from repro.engine.state import load_state
-from repro.sat import CostModel, Plan, PlanTelemetry, Planner, calibrate
+from repro.sat import CostModel, Plan, PlanTelemetry, Planner, calibrate, decide
 from repro.sat.costmodel import size_bucket
 from repro.sat.telemetry import PlanStats
 from repro.workloads import batch_jobs
@@ -165,10 +167,35 @@ def _verdict_mixes(engine):
     }
 
 
+def _decided(jobs):
+    """The per-job verdict reference: one stateless
+    :func:`repro.sat.decide` call per job, no engine involved."""
+    schemas = _schemas()
+    verdicts = []
+    for raw in jobs:
+        job = Job.coerce(raw)
+        query = parse_query(job.query) if isinstance(job.query, str) else job.query
+        dtd = schemas[job.schema] if job.schema is not None else None
+        verdicts.append((
+            job.id if job.id is not None else job.query_text,
+            decide(query, dtd).satisfiable,
+        ))
+    return verdicts
+
+
+def _per_job_engine(**kwargs):
+    """The engine-side reference arm: one question per chunk on a
+    stateless runtime, so no two jobs share any setup."""
+    return BatchEngine(
+        registry=_registry(), group_chunk_size=1, affinity=False, **kwargs
+    )
+
+
 class TestGroupedScheduling:
-    """Plan-grouped dispatch is a scheduling change only: verdicts,
-    decision-cache contents, and telemetry verdict mixes must be
-    bit-identical with ``group_by_plan`` on and off."""
+    """Plan-grouped dispatch is a scheduling change only: verdicts must
+    equal per-job :func:`repro.sat.decide`, and decision-cache contents
+    and telemetry verdict mixes must equal a one-question-per-chunk,
+    stateless engine's."""
 
     def _mixed_corpus(self, n_jobs=120):
         # inline (PTIME downward) and pooled (negation) plans, plus
@@ -182,32 +209,28 @@ class TestGroupedScheduling:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_grouped_matches_ungrouped(self, workers):
         jobs = self._mixed_corpus()
-        grouped = BatchEngine(
-            registry=_registry(), workers=workers, group_by_plan=True
-        )
-        ungrouped = BatchEngine(
-            registry=_registry(), workers=workers, group_by_plan=False
-        )
+        grouped = BatchEngine(registry=_registry(), workers=workers)
+        per_job = _per_job_engine(workers=workers)
         grouped_report = grouped.run(jobs)
-        ungrouped_report = ungrouped.run(jobs)
-        assert _verdicts(grouped_report) == _verdicts(ungrouped_report)
-        assert _cache_records(grouped) == _cache_records(ungrouped)
-        assert _verdict_mixes(grouped) == _verdict_mixes(ungrouped)
-        assert grouped_report.stats.errors == ungrouped_report.stats.errors == 0
+        per_job_report = per_job.run(jobs)
+        assert _verdicts(grouped_report) == _decided(jobs)
+        assert _verdicts(per_job_report) == _decided(jobs)
+        assert _cache_records(grouped) == _cache_records(per_job)
+        assert _verdict_mixes(grouped) == _verdict_mixes(per_job)
+        assert grouped_report.stats.errors == per_job_report.stats.errors == 0
         assert grouped_report.stats.plan_groups >= 1
         assert grouped_report.stats.grouped_jobs >= 2
-        assert ungrouped_report.stats.plan_groups == 0
+        assert max(per_job_report.stats.group_sizes) == 1
 
     def test_grouped_matches_ungrouped_with_chunking(self):
         jobs = self._mixed_corpus(80)
-        grouped = BatchEngine(
-            registry=_registry(), group_by_plan=True, group_chunk_size=3
-        )
-        ungrouped = BatchEngine(registry=_registry(), group_by_plan=False)
+        grouped = BatchEngine(registry=_registry(), group_chunk_size=3)
+        per_job = _per_job_engine()
         grouped_report = grouped.run(jobs)
-        assert _verdicts(grouped_report) == _verdicts(ungrouped.run(jobs))
-        assert _cache_records(grouped) == _cache_records(ungrouped)
-        assert _verdict_mixes(grouped) == _verdict_mixes(ungrouped)
+        per_job.run(jobs)
+        assert _verdicts(grouped_report) == _decided(jobs)
+        assert _cache_records(grouped) == _cache_records(per_job)
+        assert _verdict_mixes(grouped) == _verdict_mixes(per_job)
         # chunking shows in the group-size distribution
         assert max(grouped_report.stats.group_sizes) <= 3
 
@@ -215,11 +238,12 @@ class TestGroupedScheduling:
         # every heavy question distinct per schema fragment shape: each
         # group holds one job, pays its own setup, reuses nothing
         jobs = [("A[not(B)]", "tiny"), ("title[not(para)]", "doc")]
-        grouped = BatchEngine(registry=_registry(), group_by_plan=True)
-        ungrouped = BatchEngine(registry=_registry(), group_by_plan=False)
+        grouped = BatchEngine(registry=_registry())
+        per_job = _per_job_engine()
         grouped_report = grouped.run(jobs)
-        assert _verdicts(grouped_report) == _verdicts(ungrouped.run(jobs))
-        assert _cache_records(grouped) == _cache_records(ungrouped)
+        per_job.run(jobs)
+        assert _verdicts(grouped_report) == _decided(jobs)
+        assert _cache_records(grouped) == _cache_records(per_job)
         assert grouped_report.stats.plan_groups == 2
         assert grouped_report.stats.grouped_jobs == 2
         assert grouped_report.stats.setup_reuse == 0
@@ -229,7 +253,7 @@ class TestGroupedScheduling:
         # many jobs, one plan, one schema: a single group chunk pays
         # setup once and every groupmate after the lead reuses it
         jobs = [(f"A[not({label})]", "tiny") for label in ("A", "B", "C")]
-        engine = BatchEngine(registry=_registry(), group_by_plan=True)
+        engine = BatchEngine(registry=_registry())
         report = engine.run(jobs)
         assert report.stats.plan_groups == 1
         assert report.stats.grouped_jobs == 3
@@ -243,8 +267,8 @@ class TestGroupedScheduling:
 
     def test_grouped_pool_matches_inline_grouped(self):
         jobs = self._mixed_corpus(60)
-        pooled = BatchEngine(registry=_registry(), workers=2, group_by_plan=True)
-        inline = BatchEngine(registry=_registry(), workers=1, group_by_plan=True)
+        pooled = BatchEngine(registry=_registry(), workers=2)
+        inline = BatchEngine(registry=_registry(), workers=1)
         pooled_report = pooled.run(jobs)
         inline_report = inline.run(jobs)
         assert _verdicts(pooled_report) == _verdicts(inline_report)
@@ -609,25 +633,25 @@ class TestStateDirHygiene:
         state_dir = str(tmp_path / "state")
         engine = BatchEngine(
             registry=_registry(), state_tier=state_dir,
-            group_by_plan=False, group_chunk_size=7,
+            affinity=False, group_chunk_size=7,
             decision_cap_per_schema=64, telemetry_max_age_days=3.0,
         )
         engine.run(_corpus(20))
         engine.save_state()
         state = _tier_state(state_dir)
         assert state.scheduler == {
-            "group_by_plan": False, "group_chunk_size": 7,
+            "group_chunk_size": 7,
             "decision_cap_per_schema": 64, "telemetry_max_age_days": 3.0,
-            "affinity": True, "lane_queue_depth": 4,
+            "affinity": False, "lane_queue_depth": 4,
         }
         reloaded = BatchEngine(registry=_registry(), state_tier=state_dir)
-        assert reloaded.group_by_plan is False
+        assert reloaded.affinity is False
         assert reloaded.group_chunk_size == 7
         # explicit constructor settings beat persisted ones
         explicit = BatchEngine(
-            registry=_registry(), state_tier=state_dir, group_by_plan=True
+            registry=_registry(), state_tier=state_dir, affinity=True
         )
-        assert explicit.group_by_plan is True
+        assert explicit.affinity is True
         assert explicit.group_chunk_size == 7
 
     def test_corrupt_scheduler_values_degrade_with_warnings(self, tmp_path):
@@ -637,10 +661,10 @@ class TestStateDirHygiene:
         state_dir.mkdir()
         (state_dir / "scheduler.json").write_text(json.dumps({
             "version": 1, "group_chunk_size": -4,
-            "telemetry_max_age_days": "soon", "group_by_plan": True,
+            "telemetry_max_age_days": "soon", "affinity": True,
         }))
         state = load_state(str(state_dir))
-        assert state.scheduler == {"group_by_plan": True}
+        assert state.scheduler == {"affinity": True}
         assert len(state.warnings) == 2
         engine = BatchEngine(registry=_registry(), state_tier=str(state_dir))
         assert engine.group_chunk_size == 16   # default, bad value ignored

@@ -664,6 +664,41 @@ class TestLegacyMigration:
         ]
         assert chains and not any("exptime_types_bits" in c for c in chains)
 
+    @pytest.mark.parametrize("source", ["tier", "json_dir"])
+    def test_retired_group_by_plan_tunable_is_skipped(self, tmp_path, source):
+        """State written while ``group_by_plan`` was still a tunable may
+        store it switched off; the engine loads such state without a
+        warning, keeps the tunables it still has, and groups anyway."""
+        if source == "tier":
+            state_path = str(tmp_path / "tier")
+            with StateTier(state_path) as tier:
+                tier.save(scheduler={"group_by_plan": False, "group_chunk_size": 7})
+        else:
+            state_path = _legacy_state_dir(tmp_path)
+            scheduler_file = os.path.join(state_path, "scheduler.json")
+            with open(scheduler_file) as handle:
+                record = json.load(handle)
+            record.update(group_by_plan=False, group_chunk_size=7)
+            with open(scheduler_file, "w") as handle:
+                json.dump(record, handle)
+        engine = BatchEngine(registry=_registry(), state_tier=state_path)
+        scheduler_warnings = [
+            w for w in engine.state_warnings
+            if "scheduler" in w or "group_by_plan" in w
+        ]
+        assert scheduler_warnings == []
+        if source == "tier":
+            assert engine.state_warnings == []
+        assert engine.group_chunk_size == 7
+        report = engine.run([
+            Job(query, schema)
+            for schema in ("catalog", "doc")
+            for query in ("A[not(B)]", "C[not(A)]", "title[not(text)]")
+        ])
+        engine.close()
+        assert report.stats.errors == 0
+        assert report.stats.plan_groups >= 1
+
     def test_migration_runs_only_once(self, tmp_path):
         state_dir = _legacy_state_dir(tmp_path)
         first = StateTier(state_dir)

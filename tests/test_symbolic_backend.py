@@ -427,7 +427,7 @@ class TestPoolLanes:
 
         registry = SchemaRegistry()
         registry.register("wide", dtd)
-        engine = BatchEngine(registry=registry, workers=2, group_by_plan=True)
+        engine = BatchEngine(registry=registry, workers=2)
         report = engine.run([
             Job(text, "wide", id=f"q{index}")
             for index, text in enumerate(queries)
