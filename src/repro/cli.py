@@ -54,12 +54,12 @@ Subcommands
     per-job result.  ``--repeat`` re-runs the workload in the same
     process, so the second pass exercises the warm cache; per-pass
     ``decide()`` counts and cache stats are printed at the end.
-    ``--state-tier`` persists plan caches, per-plan telemetry, the cost
-    model, and the decision cache across processes in one SQLite
-    database (a file, or ``state.sqlite`` inside a directory): a rerun
-    on a previously-seen workload starts warm (zero plans built).  A
-    JSON state directory written by an earlier release is imported the
-    first time ``--state-tier`` points at it.
+    ``--state-tier`` persists plan caches, per-plan telemetry, and the
+    decision cache across processes in one SQLite database (a file, or
+    ``state.sqlite`` inside a directory): a rerun on a previously-seen
+    workload starts warm (zero plans built).  A JSON state directory
+    written by an earlier release is imported the first time
+    ``--state-tier`` points at it.
 
 ``serve``
     Run the engine as a long-lived daemon speaking the same JSONL job
@@ -71,8 +71,8 @@ Subcommands
         python -m repro serve --port 7077 --schema-dir schemas/
 
     Clients write job lines and read streamed result lines on the same
-    connection.  The engine — lanes, caches, cost model — persists
-    across every request; SIGTERM drains in-flight jobs, snapshots
+    connection.  The engine — lanes and caches — persists across every
+    request; SIGTERM drains in-flight jobs, snapshots
     ``--state-tier``, and exits 0.  ``--max-inflight`` bounds admitted
     jobs (excess gets a ``retry`` response), ``--snapshot-interval``
     controls periodic state snapshots.
@@ -88,11 +88,11 @@ Subcommands
         python -m repro route --workers 4 --socket /run/repro.sock \
             --schema-dir schemas/ --state-tier state/
 
-    With ``--state-tier`` every worker warms its plan and cost caches
-    from the shared SQLite tier before the router accepts traffic, so
-    no process ever plans cold; on SIGTERM each worker drains and
-    merges its samples back.  ``--attach SOCKET`` routes to pre-started
-    engines instead of spawning.
+    With ``--state-tier`` every worker warms its plan and decision
+    caches from the shared SQLite tier before the router accepts
+    traffic, so no process ever plans cold; on SIGTERM each worker
+    drains and saves its state back.  ``--attach SOCKET`` routes to
+    pre-started engines instead of spawning.
 
 ``stats``
     Aggregate a batch result file (verdicts, methods, routes, schemas)::
@@ -102,8 +102,8 @@ Subcommands
     ``--plans`` renders the persisted per-plan telemetry table (latency,
     verdict mix, fallback rate) from a ``--state-tier``; ``--json``
     switches either mode to machine-readable output (with ``--plans``
-    that is the full engine-stats snapshot, per-plan rows, and cost
-    model)::
+    that is the full engine-stats snapshot, per-plan rows, and the
+    per-process stats rows)::
 
         python -m repro stats --plans --state-tier state/
         python -m repro stats --plans --state-tier state/ --json
@@ -216,33 +216,30 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 def _load_tier(path: str):
     """A tier's persisted state plus its per-process engine-stats rows
-    (load warnings reach stderr through repro.obs.log)."""
+    (load warnings reach stderr through repro.obs.log).  The inspection
+    commands only read: a path that does not exist is an error, not a
+    new empty tier."""
     from repro.engine.statetier import StateTier
 
+    if not os.path.exists(path):
+        raise EngineError(f"no state tier at {path}")
     with StateTier(path) as tier:
         return tier.load(), tier.engine_stats_rows()
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    from repro.sat import Planner
-
     query = parse_query(args.query)
     features = features_of(query)
     state = _load_tier(args.state_tier)[0] if args.state_tier is not None else None
-    planner = (
-        Planner(cost_model=state.cost_model)
-        if state is not None and state.cost_model is not None
-        else DEFAULT_PLANNER
-    )
     if args.dtd is not None:
         registry = SchemaRegistry()
         if state is not None:
             registry.adopt_plans(state.plans)
         name = os.path.splitext(os.path.basename(args.dtd))[0]
         artifacts = registry.register_file(name, args.dtd)
-        plan = planner.plan_for(features, artifacts=artifacts)
+        plan = DEFAULT_PLANNER.plan_for(features, artifacts=artifacts)
     else:
-        plan = planner.plan_for(features)
+        plan = DEFAULT_PLANNER.plan_for(features)
     stats = (
         state.telemetry.get(plan.telemetry_key)
         if state is not None and state.telemetry is not None
@@ -371,7 +368,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     engine = _make_engine(args, registry, tracer)
 
     # a SIGINT/SIGTERM mid-run must not lose the run's plans, telemetry,
-    # and cost samples: unwind via _SignalExit, snapshot the state tier,
+    # and decisions: unwind via _SignalExit, snapshot the state tier,
     # close the engine (the finally), and exit 128+signum
     def _interrupt(signum, frame):
         raise _SignalExit(signum)
@@ -616,10 +613,6 @@ def _cmd_stats_plans(args: argparse.Namespace) -> int:
                 }
                 for key, row in rows.items()
             },
-            "cost_model": (
-                state.cost_model.to_dict()
-                if state.cost_model is not None else None
-            ),
             "processes": engine_rows,
         }
         print(json.dumps(payload, indent=2))
@@ -632,12 +625,6 @@ def _cmd_stats_plans(args: argparse.Namespace) -> int:
         print("no plan telemetry recorded")
         return 0
     print(state.telemetry.table())
-    if state.cost_model is not None and len(state.cost_model):
-        print(
-            f"cost model: {len(state.cost_model)} "
-            f"(signature x bucket x decider) cells, "
-            f"{state.cost_model.observations:g} observations"
-        )
     return 0
 
 
@@ -719,11 +706,10 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--state-tier", metavar="PATH",
         help="SQLite state tier (file or directory): load persisted "
-             "plans/telemetry/cost-model/decisions at startup and save "
-             "back after the run; concurrent-safe — N processes may load "
-             "and save simultaneously, cost samples merge instead of "
-             "overwriting; a legacy JSON state dir at the same directory "
-             "is imported on first open",
+             "plans/telemetry/decisions at startup and save back after "
+             "the run; concurrent-safe — N processes may load and save "
+             "simultaneously; a legacy JSON state dir at the same "
+             "directory is imported on first open",
     )
     parser.add_argument(
         "--trace-out", metavar="PATH",
@@ -802,8 +788,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     explain.add_argument(
         "--state-tier", metavar="PATH",
-        help="plan with the persisted cost model and show the plan's "
-             "accumulated telemetry from the state tier at PATH",
+        help="adopt the persisted plans and show the plan's accumulated "
+             "telemetry from the existing state tier at PATH",
     )
     explain.set_defaults(func=_cmd_explain)
 
@@ -879,8 +865,8 @@ def build_parser() -> argparse.ArgumentParser:
     route.add_argument(
         "--state-tier", metavar="PATH",
         help="shared SQLite state tier: every worker warms its plan and "
-             "cost caches from it before the router accepts traffic, and "
-             "merges its samples back on drain",
+             "decision caches from it before the router accepts traffic, "
+             "and saves its state back on drain",
     )
     route.add_argument(
         "--spill-depth", type=int, default=64, metavar="N",
@@ -924,13 +910,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stats.add_argument(
         "--state-tier", metavar="PATH",
-        help="SQLite state tier written by '--state-tier' runs "
+        help="existing SQLite state tier written by '--state-tier' runs "
              "(merged view across every contributing process)",
     )
     stats.add_argument(
         "--json", action="store_true",
         help="machine-readable output (with --plans: engine-stats "
-             "snapshot, per-plan rows, and cost model)",
+             "snapshot, per-plan rows, and per-process stats rows)",
     )
     stats.set_defaults(func=_cmd_stats)
 

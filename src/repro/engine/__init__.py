@@ -25,8 +25,8 @@ package amortizes their setup across production-scale workloads:
   concurrent JSONL connections, with admission control and snapshots;
 * :mod:`repro.engine.statetier` — :class:`StateTier`, the engine's
   persistence: one concurrent-safe SQLite (WAL) database that N
-  processes load and save simultaneously, cost samples merging instead
-  of overwriting (legacy JSON state dirs are imported on first open);
+  processes load and save simultaneously, last writer winning per key
+  (legacy JSON state dirs are imported on first open);
 * :mod:`repro.engine.router` — :class:`EngineRouter`, the multi-process
   front door behind ``python -m repro route``: shards JSONL jobs across
   N engine processes by schema fingerprint and warms them from the tier.

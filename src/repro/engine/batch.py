@@ -85,11 +85,9 @@ from repro.obs.log import get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import FAILED, JobTrace, Span, Tracer, attempt_spans
 from repro.sat.bounded import Bounds
-from repro.sat.costmodel import CostModel, size_bucket
 from repro.sat.planner import ExecutionTrace, Plan, Planner, execute_plan
-from repro.sat.registry import decider_traits, get_decider
+from repro.sat.registry import decider_traits
 from repro.sat.telemetry import LATENCY_BUCKETS_MS, PlanTelemetry, verdict_name
-from repro.xpath.rewrite import get_pass
 from repro.xpath.ast import Path
 from repro.xpath.canonical import canonicalize
 from repro.xpath.fragments import features_of
@@ -223,9 +221,6 @@ class EngineStats:
     lane_contexts: dict[int, int] = field(default_factory=dict)
     lane_evictions: dict[int, int] = field(default_factory=dict)
     lane_peak_depth: dict[int, int] = field(default_factory=dict)
-    # cost-model epsilon-exploration probes run this pass (timing a
-    # fallback chain member the normal path would never measure)
-    explore_probes: int = 0
     # answered decisions whose answering decider is schema-trait gated,
     # keyed by decider name — the engine-level view of how much traffic
     # the real-world PTIME fast paths absorb instead of the EXPTIME lanes
@@ -310,7 +305,6 @@ class EngineStats:
             "lane_health": {
                 str(lane): health for lane, health in self.lane_health().items()
             },
-            "explore_probes": self.explore_probes,
             "trait_routed_answers": dict(self.trait_routed_answers),
             "persisted_plans_loaded": self.persisted_plans_loaded,
             "persisted_decisions_loaded": self.persisted_decisions_loaded,
@@ -329,8 +323,7 @@ class EngineStats:
             f"{self.workers} workers)",
             f"planner       : {self.planner_invocations} plans built, "
             f"{self.plan_cache_hits} plan-cache hits, "
-            f"{self.persisted_plans_loaded} persisted plans loaded, "
-            f"{self.explore_probes} explore probes",
+            f"{self.persisted_plans_loaded} persisted plans loaded",
             f"plan groups   : {self.plan_groups} dispatched, "
             f"{self.grouped_jobs} jobs grouped, {self.setup_reuse} setup reuses, "
             f"{self.prepare_fallbacks} prepare fallbacks "
@@ -390,7 +383,6 @@ class EngineStats:
             ("lane_respawns", "worker lanes respawned after death"),
             ("chunk_retries", "in-flight chunks retried after lane death"),
             ("executor_resets", "warm executors discarded after a tunable flip"),
-            ("explore_probes", "cost-model exploration probes"),
         ):
             registry.counter(f"repro_{name}_total", help_text).inc(
                 getattr(self, name)
@@ -516,8 +508,6 @@ class BatchEngine:
         cache: DecisionCache | None = None,
         workers: int = 1,
         bounds: Bounds | None = None,
-        planner: Planner | None = None,
-        cost_model: CostModel | None = None,
         telemetry: PlanTelemetry | None = None,
         state_tier: "StateTier | str | None" = None,
         group_chunk_size: int | None = None,
@@ -580,30 +570,7 @@ class BatchEngine:
         )
         self.registry = registry if registry is not None else SchemaRegistry()
         self.cache = cache if cache is not None else DecisionCache()
-        if planner is not None:
-            # a caller-supplied planner is never mutated: if it carries a
-            # cost model the engine feeds that one, otherwise the engine
-            # still measures (into its own model) but the planner keeps
-            # planning statically — attaching our model behind the
-            # caller's back would change routing process-wide (e.g. for
-            # DEFAULT_PLANNER)
-            if (
-                cost_model is not None
-                and planner.cost_model is not None
-                and planner.cost_model is not cost_model
-            ):
-                raise EngineError(
-                    "planner already carries a different cost model; pass "
-                    "one of cost_model= or planner=, not conflicting both"
-                )
-            self.planner = planner
-            self.cost_model = (
-                planner.cost_model if planner.cost_model is not None
-                else (cost_model if cost_model is not None else CostModel())
-            )
-        else:
-            self.cost_model = cost_model if cost_model is not None else CostModel()
-            self.planner = Planner(cost_model=self.cost_model)
+        self.planner = Planner()
         self.telemetry = telemetry if telemetry is not None else PlanTelemetry()
         self.workers = workers
         self.bounds = bounds
@@ -647,17 +614,16 @@ class BatchEngine:
         """Fold a :class:`~repro.engine.state.PersistedState` (a tier
         load) into this engine: plan caches
         (applied now for registered schemas, at registration for later
-        ones), telemetry, cost-model measurements, cached decisions, and
-        scheduler tunables (which fill every tunable the constructor left
-        unset).  Returns the number of plans available from persistence."""
+        ones, in their stored chain order), telemetry, cached decisions,
+        and scheduler tunables (which fill every tunable the constructor
+        left unset).  Returns the number of plans available from
+        persistence."""
         self.state_warnings.extend(state.warnings)
         self.state_warnings.extend(
             self.registry.adopt_plans(state.plans, names=state.plan_names)
         )
         if state.telemetry is not None:
             self.telemetry.merge(state.telemetry)
-        if state.cost_model is not None:
-            self.cost_model.merge(state.cost_model)
         if state.decisions:
             self.persisted_decisions_loaded += self.cache.load_records(state.decisions)
         for name in (
@@ -671,14 +637,10 @@ class BatchEngine:
 
     def load_tier_state(self) -> int:
         """Warm this engine from its shared state tier — the cache
-        warming every process does before serving traffic.  After the
-        merge the tier's cost baseline is re-anchored, so later saves
-        contribute only samples observed by *this* process."""
+        warming every process does before serving traffic."""
         if self.state_tier is None:
             raise EngineError("engine has no state tier")
-        plans = self._adopt_state(self.state_tier.load())
-        self.state_tier.note_cost_baseline(self.cost_model)
-        return plans
+        return self._adopt_state(self.state_tier.load())
 
     @property
     def has_state(self) -> bool:
@@ -691,8 +653,8 @@ class BatchEngine:
         return self.state_tier.path if self.state_tier is not None else None
 
     def save_state(self) -> str:
-        """Persist plan caches, telemetry, cost model, the decision cache,
-        and the scheduler tunables to the engine's state tier; returns
+        """Persist plan caches, telemetry, the decision cache, and the
+        scheduler tunables to the engine's state tier; returns
         the database path.  Hygiene applies on the way out: cached
         decisions are capped per schema and telemetry rows not seen
         within ``telemetry_max_age_days`` are aged out."""
@@ -701,7 +663,6 @@ class BatchEngine:
         self.state_tier.save(
             registry=self.registry,
             telemetry=self.telemetry,
-            cost_model=self.cost_model,
             cache=self.cache,
             scheduler={
                 "group_chunk_size": self.group_chunk_size,
@@ -722,8 +683,8 @@ class BatchEngine:
     def metrics_registry(self, stats: EngineStats | None = None) -> MetricsRegistry:
         """One unified metrics registry over every stat silo the engine
         holds: the given (or last run's) :class:`EngineStats`, the
-        per-plan telemetry table, the cost model, and — when a tracer is
-        attached — its trace counters.  Render with
+        per-plan telemetry table, and — when a tracer is attached — its
+        trace counters.  Render with
         :meth:`~repro.obs.metrics.MetricsRegistry.render_prometheus` or
         :meth:`~repro.obs.metrics.MetricsRegistry.as_dict`."""
         registry = MetricsRegistry()
@@ -731,28 +692,11 @@ class BatchEngine:
         if stats is not None:
             stats.register_metrics(registry)
         self.telemetry.register_metrics(registry)
-        self.cost_model.register_metrics(registry)
         if self.tracer is not None:
             self.tracer.register_metrics(registry)
         for source in self.metrics_sources:
             source.register_metrics(registry)
         return registry
-
-    def retune(self, decay: float | None = None) -> int:
-        """Drop every cached plan — including persisted plans waiting for
-        their schema's registration — so the next request replans against
-        the cost model's current measurements (verdicts cannot change —
-        only chain order and inline/pool routing).  With ``decay``, the
-        cost model's cells are first scaled down by that factor
-        (:meth:`~repro.sat.costmodel.CostModel.decay`), so stale
-        measurements lose their grip on routing at the same moment.
-        Returns the number of plans dropped."""
-        if decay is not None:
-            self.cost_model.decay(decay)
-        return (
-            self.planner.invalidate(*self.registry)
-            + self.registry.discard_pending_plans()
-        )
 
     # -- lifecycle ----------------------------------------------------------
     @property
@@ -1090,7 +1034,7 @@ class BatchEngine:
                     stats.errors += 1
                     stats.decide_calls += 1
                     stats.inline_decides += 1
-                    self._observe(stats, plan, artifacts, exec_trace, "error")
+                    self._observe(stats, plan, exec_trace, "error")
                     results[index] = self._error_result(raw, error)
                     if trace is not None:
                         trace.span(
@@ -1112,8 +1056,7 @@ class BatchEngine:
                 stats.inline_decides += 1
                 elapsed_ms = (time.perf_counter() - job_start) * 1e3
                 self._observe(
-                    stats, plan, artifacts, exec_trace,
-                    verdict_name(outcome.satisfiable),
+                    stats, plan, exec_trace, verdict_name(outcome.satisfiable),
                 )
                 self.cache.put(key, decision)
                 results[index] = self._result(
@@ -1130,7 +1073,6 @@ class BatchEngine:
                         route="inline", plan=plan,
                     )
                 emit(index)
-                self._explore(stats, plan, canonical, artifacts, exec_trace)
 
             # group tails: one chunk per worker task on the pool, or on
             # the engine-lifetime inline executor when workers == 1 (its
@@ -1329,7 +1271,7 @@ class BatchEngine:
         emit: Callable[[int], None] = lambda index: None,
     ) -> None:
         """Fold one chunk's outcomes into results, the decision cache,
-        telemetry, and the cost model.  When tracing, each leader job's
+        and telemetry.  When tracing, each leader job's
         span tree is reassembled here from the lane-side outcome: a
         ``chunk`` span (lane, dwell, DTD-ship/runtime-hit flags) whose
         children are the shared ``prepare`` (first executed entry only)
@@ -1413,7 +1355,7 @@ class BatchEngine:
                 # one question failing must not poison its groupmates;
                 # every job awaiting it gets the per-job error
                 stats.errors += len(entry.indices)
-                self._observe(stats, plan, artifacts, trace, "error")
+                self._observe(stats, plan, trace, "error")
                 if len(entry.indices) > 1:
                     self.telemetry.record_failure(plan, len(entry.indices) - 1)
                 for index in entry.indices:
@@ -1429,8 +1371,7 @@ class BatchEngine:
             if shared_setup and executed > 0:
                 stats.setup_reuse += 1
             executed += 1
-            self._observe(stats, plan, artifacts, trace, verdict_name(satisfiable))
-            self._explore(stats, plan, entry.canonical, artifacts, trace)
+            self._observe(stats, plan, trace, verdict_name(satisfiable))
             decision = CachedDecision(satisfiable, method, reason)
             self.cache.put(entry.key, decision)
             for ask_position, index in enumerate(entry.indices):
@@ -1447,21 +1388,15 @@ class BatchEngine:
         self,
         stats: EngineStats,
         plan: Plan,
-        artifacts: SchemaArtifacts | None,
         trace: ExecutionTrace,
         verdict: str,
     ) -> None:
-        """Feed one plan execution into per-plan telemetry and the cost
-        model.
+        """Feed one plan execution into per-plan telemetry.
 
         The recorded latency is the decider-chain time from the trace —
         the same definition on the inline and pooled paths, so one plan's
         histogram never mixes wall time (with rewrite/fork/IPC overhead)
-        with pure decide time.  Only *conclusive* attempts (sat/unsat)
-        become cost-model samples: an `unknown` is cheap precisely
-        because the decider gave up, and counting it would promote
-        fast-but-useless semi-decision procedures to chain primary (they
-        would then run on every job only to fall through)."""
+        with pure decide time."""
         if verdict == "error":
             # a failed execution has no meaningful decision latency — a
             # ~0 ms sample would drag the histogram down (same rule as
@@ -1478,70 +1413,6 @@ class BatchEngine:
                 stats.trait_routed_answers[trace.decider] = (
                     stats.trait_routed_answers.get(trace.decider, 0) + 1
                 )
-        bucket = artifacts.cost_bucket if artifacts else size_bucket(None)
-        for name, attempt_ms, outcome in trace.attempts:
-            if outcome in ("sat", "unsat"):
-                self.cost_model.observe(plan.signature, bucket, name, attempt_ms)
-
-    def _explore(
-        self,
-        stats: EngineStats,
-        plan: Plan,
-        canonical: Path,
-        artifacts: SchemaArtifacts | None,
-        trace: ExecutionTrace,
-    ) -> None:
-        """Cost-model epsilon-exploration: normal operation only times
-        the chain member that answers, so a fallback that would win
-        stays unmeasured until someone calls ``calibrate()``.  With
-        ``CostModel(explore_every=N)`` every N-th decision of a
-        (signature × bucket) re-times the *stalest* chain member on the
-        question just answered.  The probe runs in the engine's own
-        process (after inline decides and while absorbing pooled
-        outcomes) and its verdict is discarded — the job's answer is
-        already committed — so exploration can never change a verdict,
-        and the hygiene rule still applies: inconclusive probes record
-        nothing."""
-        chain = (plan.decider,) + plan.fallbacks
-        if len(chain) < 2 or not self.cost_model.explore_every:
-            return
-        bucket = artifacts.cost_bucket if artifacts else size_bucket(None)
-        conclusive = {
-            name for name, _ms, outcome in trace.attempts
-            if outcome in ("sat", "unsat")
-        }
-        probe = self.cost_model.exploration_candidate(
-            plan.signature, bucket, chain, exclude=conclusive
-        )
-        if probe is None:
-            return
-        stats.explore_probes += 1
-        # the probe must see exactly what execute_plan hands the chain:
-        # the plan's rewrite passes applied (canonicalize already was) —
-        # otherwise a rewrite-bearing plan's probe times a query shape
-        # the decider never receives, or just declines it
-        probe_query = canonical
-        for pass_name in plan.rewrites:
-            if pass_name == "canonicalize":
-                continue
-            rewritten = get_pass(pass_name).run(probe_query)
-            if not rewritten.complete:
-                return
-            probe_query = rewritten.path
-        spec = get_decider(probe)
-        dtd = artifacts.dtd if artifacts else None
-        probe_start = time.perf_counter()
-        try:
-            result = spec.call(probe_query, dtd, self.bounds)
-        except Exception:
-            # a decline (or a latent bug in a decider the plan never
-            # needed) must not fail a job whose answer is already in
-            return
-        if result.satisfiable is not None:
-            self.cost_model.observe(
-                plan.signature, bucket, probe,
-                (time.perf_counter() - probe_start) * 1e3,
-            )
 
     def _result(
         self,

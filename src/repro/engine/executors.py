@@ -39,11 +39,11 @@ mixes are bit-identical: runtimes cache *pure* setup, never answers
 from __future__ import annotations
 
 import multiprocessing
-import queue as queue_module
 import time
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait as wait_for_connections
 from typing import Any, Iterator, Protocol, runtime_checkable
 
 from repro.errors import EngineError
@@ -346,7 +346,8 @@ class InlineExecutor:
 
 def _worker_main(lane_id: int, caching: bool, requests, results) -> None:
     """Lane entry point: loop over chunk requests until the ``None``
-    sentinel, keeping one :class:`WorkerRuntime` alive across chunks."""
+    sentinel, keeping one :class:`WorkerRuntime` alive across chunks.
+    ``results`` is the write end of this lane's own result pipe."""
     runtime = WorkerRuntime(caching=caching)
     while True:
         message = requests.get()
@@ -358,7 +359,7 @@ def _worker_main(lane_id: int, caching: bool, requests, results) -> None:
         except BaseException as error:  # never let a lane die silently
             outcome = ChunkOutcome(error=f"{type(error).__name__}: {error}")
         try:
-            results.put((lane_id, task.task_id, outcome))
+            results.send((lane_id, task.task_id, outcome))
         except Exception:
             break  # parent gone; nothing sensible left to do
 
@@ -379,14 +380,20 @@ class _Lane:
     over lane *slots* (so the consistent hash is stable regardless of
     which lanes are live), but a light run that only ever touches one
     lane pays for one fork, not ``workers``.
+
+    Each lane answers on its own pipe, of which the worker holds the
+    only write end.  A result channel shared by all lanes would be
+    guarded by a cross-process write lock, and a worker killed while
+    holding it would silence every lane for good; a private pipe has no
+    lock, and the worker's death reads as end-of-file.
     """
 
-    def __init__(self, lane_id: int, ctx, caching: bool, results) -> None:
+    def __init__(self, lane_id: int, ctx, caching: bool) -> None:
         self.lane_id = lane_id
         self._ctx = ctx
         self._caching = caching
-        self._results = results
         self.requests = None
+        self.results = None
         self.process = None
         self.shipped: set[str] = set()
         self.in_flight: dict[int, _InFlight] = {}
@@ -405,13 +412,14 @@ class _Lane:
     def ensure_started(self) -> None:
         if self.process is None:
             self.requests = self._ctx.Queue()
+            self.results, writer = self._ctx.Pipe(duplex=False)
             self.process = self._ctx.Process(
                 target=_worker_main,
-                args=(self.lane_id, self._caching, self.requests,
-                      self._results),
+                args=(self.lane_id, self._caching, self.requests, writer),
                 daemon=True,
             )
             self.process.start()
+            writer.close()
             _LOG.debug("lane %d forked (pid %s)", self.lane_id, self.process.pid)
 
     def send(self, entry: _InFlight, ship_always: bool) -> None:
@@ -444,6 +452,7 @@ class _Lane:
             self.process.join(timeout=2.0)
         self.requests.close()
         self.requests.cancel_join_thread()
+        self.results.close()
 
 
 class PersistentPoolExecutor:
@@ -486,10 +495,8 @@ class PersistentPoolExecutor:
             except ValueError:  # pragma: no cover - non-POSIX fallback
                 mp_context = multiprocessing.get_context()
         self._ctx = mp_context
-        self._results = mp_context.Queue()
         self._lanes = [
-            _Lane(lane_id, mp_context, affinity, self._results)
-            for lane_id in range(workers)
+            _Lane(lane_id, mp_context, affinity) for lane_id in range(workers)
         ]
         self._stats = ExecutorStats(lanes=workers)
         #: chunks whose retry also died, finished parent-side and waiting
@@ -537,31 +544,38 @@ class PersistentPoolExecutor:
     def drain(self) -> Iterator[tuple[ChunkTask, ChunkOutcome]]:
         if self._closed:
             # without this guard a drain on a closed pool would spin on
-            # the torn-down result queue forever
+            # the torn-down result pipes forever
             raise EngineError("executor already closed")
         while True:
             while self._failed:
                 yield self._failed.pop(0)
-            if not any(lane.in_flight for lane in self._lanes):
+            busy = [lane for lane in self._lanes if lane.in_flight]
+            if not busy:
                 return
-            try:
-                lane_id, task_id, outcome = self._results.get(timeout=0.05)
-            except queue_module.Empty:
-                for lane in list(self._lanes):
-                    if not lane.alive() and lane.in_flight:
+            ready = wait_for_connections(
+                [lane.results for lane in busy], timeout=0.05
+            )
+            for lane in busy:
+                # a lane recovered while an earlier outcome was being
+                # consumed has a closed pipe and no in-flight chunks left
+                if lane.results not in ready or lane not in self._lanes:
+                    continue
+                try:
+                    lane_id, task_id, outcome = lane.results.recv()
+                except (EOFError, OSError):
+                    # the worker died; its finished chunks were read first
+                    self._recover(lane)
+                    continue
+                entry = lane.in_flight.pop(task_id, None)
+                if entry is not None:
+                    yield self._finish(entry, lane_id, outcome)
+            if not ready:
+                for lane in busy:
+                    if (
+                        lane in self._lanes and not lane.alive()
+                        and not lane.results.poll()
+                    ):
                         self._recover(lane)
-                continue
-            entry = self._pop_in_flight(task_id)
-            if entry is None:
-                continue  # a retry already resolved this task
-            yield self._finish(entry, lane_id, outcome)
-
-    def _pop_in_flight(self, task_id: int) -> _InFlight | None:
-        for lane in self._lanes:
-            entry = lane.in_flight.pop(task_id, None)
-            if entry is not None:
-                return entry
-        return None
 
     def _finish(
         self, entry: _InFlight, lane_id: int, outcome: ChunkOutcome
@@ -595,9 +609,11 @@ class PersistentPoolExecutor:
             if lane.requests is not None:
                 lane.requests.close()
                 lane.requests.cancel_join_thread()
+            if lane.results is not None:
+                lane.results.close()
         except Exception:
             pass
-        fresh = _Lane(lane.lane_id, self._ctx, self.affinity, self._results)
+        fresh = _Lane(lane.lane_id, self._ctx, self.affinity)
         self._lanes[index] = fresh
         self._stats.lane_respawns += 1
         targets = [fresh] + [
@@ -633,8 +649,6 @@ class PersistentPoolExecutor:
         self._closed = True
         for lane in self._lanes:
             lane.stop()
-        self._results.close()
-        self._results.cancel_join_thread()
 
     def __del__(self) -> None:
         # the pool is engine-lifetime: an engine dropped without close()

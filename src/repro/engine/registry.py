@@ -85,15 +85,6 @@ class SchemaArtifacts:
         """Proposition 3.3 normal form ``N(D)`` (computed once, on demand)."""
         return normalize(self.dtd)
 
-    @cached_property
-    def cost_bucket(self) -> str:
-        """The cost model's schema-size bucket, computed once —
-        ``DTD.size()`` walks every production, too costly per decided
-        job."""
-        from repro.sat.costmodel import size_bucket
-
-        return size_bucket(self.dtd.size())
-
     @property
     def short_fingerprint(self) -> str:
         return self.fingerprint[:12]
@@ -145,8 +136,9 @@ class SchemaRegistry:
     ) -> list[str]:
         """Warm plan caches from persisted state (``--state-tier``): plans
         for already-registered schemas are applied immediately, the rest
-        wait for their schema's registration.  Existing cache entries win
-        (they were planned against the live cost model).
+        wait for their schema's registration.  Existing cache entries win,
+        and adopted plans keep their stored chain order (execution falls
+        through on declines and ``unknown``, so any order answers alike).
 
         A plan whose chain names a decider that is not registered (one
         retired since the state was written, or disabled) is dropped, so
@@ -177,16 +169,6 @@ class SchemaRegistry:
             if artifacts is not None:
                 self._apply_pending_plans(artifacts)
         return warnings
-
-    def discard_pending_plans(self) -> int:
-        """Drop adopted-but-unapplied persisted plans (used by
-        ``BatchEngine.retune``: a schema registered afterwards must be
-        replanned against current measurements, not handed a stale
-        persisted plan).  Returns the number of plans discarded."""
-        dropped = sum(len(per_schema) for per_schema in self._pending_plans.values())
-        self._pending_plans.clear()
-        self._pending_names.clear()
-        return dropped
 
     def pending_plan_records(self) -> dict[str, tuple[str, dict[str, Plan]]]:
         """Adopted plans whose schema was never registered this run, as

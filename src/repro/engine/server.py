@@ -3,8 +3,8 @@
 ``python -m repro serve --socket PATH`` (or ``--port N``) puts **one**
 long-lived :class:`~repro.engine.batch.BatchEngine` behind the shared
 JSONL front door (:mod:`repro.engine.frontdoor`), so its decision
-cache, plan caches, cost model and worker lanes amortize across every
-request the process ever serves.
+cache, plan caches and worker lanes amortize across every request the
+process ever serves.
 
 Scheduling: jobs arriving on a connection while the engine is busy
 accumulate and dispatch as one engine batch (up to ``max_batch``).

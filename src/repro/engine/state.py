@@ -7,8 +7,6 @@ die with the process:
   feature signature on each :class:`~repro.engine.registry.SchemaArtifacts`;
 * **per-plan telemetry** — the latency/verdict/fallback table
   (:class:`~repro.sat.telemetry.PlanTelemetry`);
-* **the cost model** — measured per-(signature × size-bucket) decider
-  latency (:class:`~repro.sat.costmodel.CostModel`);
 * **the decision cache** — verdicts keyed on canonical form × schema
   fingerprint (bounded; only current entries are persisted);
 * **scheduler tunables** — the plan-grouped scheduler's
@@ -24,7 +22,9 @@ as a directory of JSON files; :func:`load_state` reads such a directory
 once, when a tier is first created on top of it.  Loading is forgiving:
 a missing directory is empty state, and a corrupt file is skipped with
 a warning rather than failing the run — state is an optimization, never
-a correctness requirement.
+a correctness requirement.  Such a directory may also hold the
+cost-sample file of releases that ordered plans by measured latency;
+it is not read.
 
 **Hygiene.**  Without bounds persisted state grows with the workload:
 every distinct question ever decided and every plan ever executed.  A
@@ -43,7 +43,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.obs.log import get_logger
-from repro.sat.costmodel import CostModel
 from repro.sat.planner import Plan
 from repro.sat.telemetry import PlanTelemetry
 
@@ -54,7 +53,6 @@ STATE_VERSION = 1
 
 PLANS_FILE = "plans.json"
 TELEMETRY_FILE = "telemetry.json"
-COST_MODEL_FILE = "cost_model.json"
 DECISIONS_FILE = "decisions.json"
 SCHEDULER_FILE = "scheduler.json"
 #: snapshot of the last run's EngineStats
@@ -138,7 +136,6 @@ class PersistedState:
     plans: dict[str, dict[str, Plan]] = field(default_factory=dict)  # fingerprint -> sig -> Plan
     plan_names: dict[str, str] = field(default_factory=dict)         # fingerprint -> schema name
     telemetry: PlanTelemetry | None = None
-    cost_model: CostModel | None = None
     decisions: list[tuple[tuple[str, str, str], dict[str, Any]]] = field(default_factory=list)
     scheduler: dict[str, Any] = field(default_factory=dict)
     #: the last persisted EngineStats.as_dict() snapshot, if any
@@ -212,16 +209,6 @@ def load_state(state_dir: str) -> PersistedState:
             _warn(
                 state.warnings,
                 f"{TELEMETRY_FILE}: corrupt payload ({error}); ignored",
-            )
-
-    record = _read_json(os.path.join(state_dir, COST_MODEL_FILE), state.warnings)
-    if record is not None:
-        try:
-            state.cost_model = CostModel.from_dict(record)
-        except (ValueError, TypeError) as error:
-            _warn(
-                state.warnings,
-                f"{COST_MODEL_FILE}: corrupt payload ({error}); ignored",
             )
 
     record = _read_json(os.path.join(state_dir, DECISIONS_FILE), state.warnings)

@@ -1,9 +1,9 @@
 """Engine state tier: one SQLite database, any number of engine processes.
 
 :class:`StateTier` is where an engine persists its state (plans,
-per-plan telemetry, cost-model cells, cached decisions, scheduler
-tunables, engine stats; see :mod:`repro.engine.state`) — one process
-or a whole fleet, which read and write the database concurrently:
+per-plan telemetry, cached decisions, scheduler tunables, engine
+stats; see :mod:`repro.engine.state`) — one process or a whole fleet,
+which read and write the database concurrently:
 
 * **WAL mode** so readers never block the writer and vice versa, with a
   ``busy_timeout`` plus a bounded retry loop around every write
@@ -13,15 +13,6 @@ or a whole fleet, which read and write the database concurrently:
   decisions (``query × fingerprint × bounds``), telemetry rows
   (``telemetry_key``), and scheduler tunables — a newer snapshot of the
   same key replaces the older one, different keys never interfere;
-* **monotonic merge for cost samples**: each :meth:`save` writes only
-  the samples this process observed since its last load/save (the delta
-  against a per-handle baseline) and folds them into the stored cell
-  with ``count = count + Δcount`` / ``total_ms = total_ms + Δtotal`` /
-  ``last_tick = max`` — a float-weighted combine that preserves means
-  and counts, so N concurrent writers lose no samples;
-* **decay hygiene**: cells the in-process model's ``decay()`` aged out
-  are *deleted* from the tier (``CostModel.consume_dropped``), so a
-  stale shared row cannot resurrect a retired measurement;
 * a **versioned schema** (``meta.tier_version``) — a newer on-disk
   version refuses loudly instead of corrupting, an unreadable database
   file is set aside as ``*.corrupt`` and rebuilt (state is an
@@ -34,6 +25,12 @@ directory** imports it automatically on first open: the JSON files are
 read through :func:`repro.engine.state.load_state` and imported
 losslessly (they are left in place, untouched).  Every save also writes
 ``metrics.prom`` next to the database for textfile collectors.
+
+A tier written when plans were ordered by measured latency still opens
+as is: its cost-sample table and meta row are neither read nor dropped,
+and its stored plans are adopted in their stored chain order (a
+``costs`` annotation on a plan row is ignored and gone after the next
+save).
 """
 
 from __future__ import annotations
@@ -47,7 +44,6 @@ import time
 from typing import Any
 
 from repro.engine.state import (
-    COST_MODEL_FILE,
     DECISIONS_FILE,
     ENGINE_STATS_FILE,
     METRICS_FILE,
@@ -62,7 +58,6 @@ from repro.engine.state import (
 )
 from repro.errors import EngineError
 from repro.obs.log import get_logger
-from repro.sat.costmodel import CostModel
 from repro.sat.planner import Plan
 from repro.sat.telemetry import PlanTelemetry
 
@@ -81,8 +76,8 @@ _DB_SUFFIXES = (".sqlite", ".sqlite3", ".db")
 #: legacy JSON files whose presence next to a fresh database triggers
 #: the one-time auto-migration
 _LEGACY_FILES = (
-    PLANS_FILE, TELEMETRY_FILE, COST_MODEL_FILE,
-    DECISIONS_FILE, SCHEDULER_FILE, ENGINE_STATS_FILE,
+    PLANS_FILE, TELEMETRY_FILE, DECISIONS_FILE, SCHEDULER_FILE,
+    ENGINE_STATS_FILE,
 )
 
 _SCHEMA = """
@@ -97,15 +92,6 @@ CREATE TABLE IF NOT EXISTS plans (
     plan TEXT NOT NULL,
     updated REAL NOT NULL,
     PRIMARY KEY (fingerprint, signature)
-);
-CREATE TABLE IF NOT EXISTS cost_cells (
-    signature TEXT NOT NULL,
-    bucket TEXT NOT NULL,
-    decider TEXT NOT NULL,
-    count REAL NOT NULL,
-    total_ms REAL NOT NULL,
-    last_tick INTEGER NOT NULL,
-    PRIMARY KEY (signature, bucket, decider)
 );
 CREATE TABLE IF NOT EXISTS decisions (
     qkey TEXT NOT NULL,
@@ -175,9 +161,9 @@ def _is_corruption(error: sqlite3.DatabaseError) -> bool:
 class StateTier:
     """One shared SQLite state database (see the module docstring).
 
-    A ``StateTier`` is a per-process *handle*: it owns one connection,
-    the per-handle cost-sample baseline, and the tier's read/write/merge
-    counters (``register_metrics`` publishes them as ``repro_tier_*``).
+    A ``StateTier`` is a per-process *handle*: it owns one connection
+    and the tier's read/write counters (``register_metrics`` publishes
+    them as ``repro_tier_*``).
     The handle is thread-safe (one internal lock serializes its own
     operations); cross-process safety comes from SQLite itself.
     """
@@ -206,12 +192,9 @@ class StateTier:
         self.saves = 0
         self.rows_read = 0
         self.rows_written = 0
-        self.cells_merged = 0
-        self.cells_deleted = 0
         self.lock_retries = 0
         self.migrated_records = 0
         self._lock = threading.RLock()
-        self._cost_baseline: dict[tuple[str, str, str], tuple[float, float]] = {}
         self._closed = False
         directory = os.path.dirname(self.path) or "."
         os.makedirs(directory, exist_ok=True)
@@ -366,17 +349,6 @@ class StateTier:
                 for fingerprint, per_schema in state.plans.items()
             },
             telemetry=state.telemetry,
-            cost_cells={
-                key: (entry.count, entry.total_ms, entry.last_tick)
-                for key, entry in (
-                    state.cost_model.cells() if state.cost_model is not None
-                    else {}
-                ).items()
-            },
-            cost_min_samples=(
-                state.cost_model.min_samples
-                if state.cost_model is not None else None
-            ),
             decision_records=[
                 [list(key), record] for key, record in state.decisions
             ],
@@ -436,24 +408,6 @@ class StateTier:
             state.telemetry = PlanTelemetry.from_dict(
                 {"plans": telemetry_record}
             )
-
-        min_samples_row = self._conn.execute(
-            "SELECT value FROM meta WHERE key = 'cost_min_samples'"
-        ).fetchone()
-        cost_entries = []
-        for row in self._conn.execute(
-            "SELECT signature, bucket, decider, count, total_ms, last_tick "
-            "FROM cost_cells"
-        ):
-            self.rows_read += 1
-            cost_entries.append(list(row))
-        if cost_entries or min_samples_row is not None:
-            state.cost_model = CostModel.from_dict({
-                "min_samples": (
-                    min_samples_row[0] if min_samples_row is not None else 3
-                ),
-                "entries": cost_entries,
-            })
 
         for qkey, fingerprint, bounds, satisfiable, method, reason in (
             self._conn.execute(
@@ -525,40 +479,12 @@ class StateTier:
                     rows[process] = stats
             return rows
 
-    # -- cost baseline -------------------------------------------------------
-    def note_cost_baseline(self, cost_model: CostModel) -> None:
-        """Snapshot ``cost_model``'s cells as this handle's baseline.
-        The engine calls this right after merging a loaded tier into its
-        model; every later :meth:`save` writes only the growth since the
-        baseline, so samples the tier already holds are never
-        double-counted and concurrent writers' samples all land."""
-        self._cost_baseline = {
-            key: (entry.count, entry.total_ms)
-            for key, entry in cost_model.cells().items()
-        }
-
-    def _cost_deltas(
-        self, cost_model: CostModel
-    ) -> dict[tuple[str, str, str], tuple[float, float, int]]:
-        deltas = {}
-        for key, entry in cost_model.cells().items():
-            base_count, base_total = self._cost_baseline.get(key, (0.0, 0.0))
-            # decay() shrinks local cells below the baseline; the tier
-            # only ages cells by whole drops (consume_dropped), so a
-            # negative delta clamps to "nothing new to contribute"
-            count = max(0.0, entry.count - base_count)
-            total = max(0.0, entry.total_ms - base_total)
-            if count > 0.0 or total > 0.0:
-                deltas[key] = (count, total, entry.last_tick)
-        return deltas
-
     # -- save ----------------------------------------------------------------
     def save(
         self,
         *,
         registry=None,
         telemetry: PlanTelemetry | None = None,
-        cost_model: CostModel | None = None,
         cache=None,
         scheduler: dict[str, Any] | None = None,
         decision_cap_per_schema: int | None = None,
@@ -568,7 +494,7 @@ class StateTier:
     ) -> None:
         """Persist the given engine components (``None`` pieces are left
         as stored) with the tier's consistency model: LWW per key,
-        monotonic cost merge, hygiene caps enforced in the database.
+        hygiene caps enforced in the database.
         One ``BEGIN IMMEDIATE`` transaction, retried on lock contention.
         ``metrics_text`` (a rendered Prometheus textfile) lands in
         ``metrics.prom`` next to the database."""
@@ -586,11 +512,6 @@ class StateTier:
                 decision_records = cap_decision_records(
                     decision_records, decision_cap_per_schema
                 )
-        cost_cells = None
-        dropped: set[tuple[str, str, str]] = set()
-        if cost_model is not None:
-            cost_cells = self._cost_deltas(cost_model)
-            dropped = cost_model.consume_dropped()
         with self._lock:
             self._require_open()
             self._with_retry(
@@ -599,20 +520,12 @@ class StateTier:
                     plan_records=plan_records,
                     telemetry=telemetry,
                     telemetry_max_age_days=telemetry_max_age_days,
-                    cost_cells=cost_cells,
-                    cost_dropped=dropped,
-                    cost_min_samples=(
-                        cost_model.min_samples if cost_model is not None
-                        else None
-                    ),
                     decision_records=decision_records,
                     decision_cap_per_schema=decision_cap_per_schema,
                     scheduler=scheduler,
                     engine_stats=engine_stats,
                 ),
             )
-            if cost_model is not None:
-                self.note_cost_baseline(cost_model)
         self.saves += 1
         if metrics_text is not None:
             _atomic_write_text(
@@ -626,9 +539,6 @@ class StateTier:
         plan_records=None,
         telemetry: PlanTelemetry | None = None,
         telemetry_max_age_days: float | None = None,
-        cost_cells=None,
-        cost_dropped: set[tuple[str, str, str]] = frozenset(),
-        cost_min_samples: int | None = None,
         decision_records=None,
         decision_cap_per_schema: int | None = None,
         scheduler: dict[str, Any] | None = None,
@@ -678,36 +588,6 @@ class StateTier:
                         "DELETE FROM telemetry WHERE updated < ?",
                         (now - telemetry_max_age_days * 86400.0,),
                     )
-
-            if cost_cells is not None:
-                for (signature, bucket, decider), (count, total, tick) in (
-                    cost_cells.items()
-                ):
-                    conn.execute(
-                        "INSERT INTO cost_cells(signature, bucket, decider, "
-                        "count, total_ms, last_tick) VALUES(?, ?, ?, ?, ?, ?) "
-                        "ON CONFLICT(signature, bucket, decider) DO UPDATE SET "
-                        "count = count + excluded.count, "
-                        "total_ms = total_ms + excluded.total_ms, "
-                        "last_tick = MAX(last_tick, excluded.last_tick)",
-                        (signature, bucket, decider,
-                         round(count, 4), round(total, 4), tick),
-                    )
-                    self.cells_merged += 1
-                    self.rows_written += 1
-            for signature, bucket, decider in sorted(cost_dropped):
-                deleted = conn.execute(
-                    "DELETE FROM cost_cells WHERE signature = ? AND "
-                    "bucket = ? AND decider = ?",
-                    (signature, bucket, decider),
-                ).rowcount
-                self.cells_deleted += max(deleted, 0)
-                self._cost_baseline.pop((signature, bucket, decider), None)
-            if cost_min_samples is not None:
-                conn.execute(
-                    "INSERT OR REPLACE INTO meta(key, value) VALUES(?, ?)",
-                    ("cost_min_samples", str(cost_min_samples)),
-                )
 
             if decision_records is not None:
                 touched_fingerprints = set()
@@ -791,10 +671,6 @@ class StateTier:
             ("rows_read", "rows_read", "rows read from the shared tier"),
             ("rows_written", "rows_written",
              "rows upserted into the shared tier"),
-            ("cells_merged", "cells_merged",
-             "cost-sample deltas merged into shared cells"),
-            ("cells_deleted", "cells_deleted",
-             "decay-dropped cost cells deleted from the shared tier"),
             ("lock_retries", "lock_retries",
              "write transactions retried on lock contention"),
             ("migrated_records", "migrated_records",

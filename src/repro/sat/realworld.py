@@ -61,7 +61,7 @@ from repro.sat.registry import DeciderSpec, register_decider
 from repro.sat.result import SatResult
 from repro.xpath import ast
 from repro.xpath.ast import Path, Qualifier
-from repro.xpath.fragments import CHILD_UP, DOWNWARD_QUAL, features_of
+from repro.xpath.fragments import CHILD_UP, DOWNWARD_QUAL
 from repro.xpath.rewrite import upward_to_qualifiers
 
 METHOD = "isw-dcdf-restrained"

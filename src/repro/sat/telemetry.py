@@ -8,11 +8,8 @@ verdict mix, which chain member actually answered, and how often the
 primary had to fall back.  :class:`PlanTelemetry` holds the per-plan
 table, merges across engines/processes, serializes for the engine's
 ``--state-tier`` persistence, and renders the ``repro stats --plans``
-report.
-
-The measured latencies feed the planner's cost model
-(:mod:`repro.sat.costmodel`), closing the loop: static ``cost_rank`` is
-only the prior, observed behaviour decides routing.
+report.  Telemetry only observes: routing follows the registry's static
+``cost_rank`` order.
 """
 
 from __future__ import annotations
@@ -121,9 +118,8 @@ class PlanStats:
     @property
     def top_decider(self) -> str:
         """The chain member answering most of this plan's executions —
-        the ``repro stats --plans`` "winner" column, which is where a
-        cost-model promotion (e.g. NEXPTIME over the types fixpoint)
-        becomes visible to operators."""
+        the ``repro stats --plans`` "winner" column, which shows
+        operators when a fallback answers more often than the primary."""
         if not self.deciders:
             return "-"
         return max(sorted(self.deciders), key=self.deciders.__getitem__)
@@ -226,8 +222,7 @@ class PlanTelemetry:
     """Per-plan stats table keyed by :attr:`Plan.telemetry_key`.
 
     The plan's serialized form rides along with its stats so a persisted
-    table can be rendered (and fed back into the cost model) without the
-    original :class:`Plan` objects.
+    table can be rendered without the original :class:`Plan` objects.
     """
 
     def __init__(self) -> None:

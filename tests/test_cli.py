@@ -222,7 +222,7 @@ class TestBatch:
         self, schema_dir, jobs_file, tmp_path, monkeypatch, capsys
     ):
         # a signal between passes must snapshot --state-tier (plans,
-        # telemetry, cost samples) before exiting 128+SIGINT, not drop it
+        # telemetry, decisions) before exiting 128+SIGINT, not drop it
         import os
         import signal
 
@@ -423,7 +423,6 @@ class TestStateDir:
         out = capsys.readouterr().out
         assert "mean_ms" in out and "p50_ms" in out and "fb%" in out
         assert "sat" in out and "unsat" in out
-        assert "cost model:" in out
 
     def test_empty_state_dir_is_fine(self, schema_dir, jobs_file, tmp_path, capsys):
         state_dir = tmp_path / "empty"
@@ -468,6 +467,21 @@ class TestStateDir:
         state_dir.mkdir()
         assert main(["stats", "--plans", "--state-tier", str(state_dir)]) == 0
         assert "no plan telemetry" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", [
+        ["stats", "--plans"],
+        ["explain", "A[not(B)]"],
+    ])
+    @pytest.mark.parametrize("target", ["tier", "tier.sqlite"])
+    def test_read_only_commands_refuse_a_missing_tier(
+        self, tmp_path, capsys, command, target
+    ):
+        # an inspection command must not turn a mistyped path into a new
+        # empty database and report "nothing recorded"
+        missing = tmp_path / "missing" / target
+        assert main(command + ["--state-tier", str(missing)]) == 3
+        assert f"error: no state tier at {missing}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_explain_surfaces_persisted_telemetry(
         self, schema_dir, jobs_file, tmp_path, capsys
@@ -586,7 +600,6 @@ class TestObservability:
         assert record["plans"]
         row = next(iter(record["plans"].values()))
         assert "mean_ms" in row and "verdicts" in row
-        assert record["cost_model"]["entries"]
 
     def test_log_level_debug_shows_engine_internals(
         self, schema_dir, tmp_path, capsys

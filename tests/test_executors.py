@@ -399,6 +399,70 @@ class TestPersistentPoolExecutor:
         assert executor.stats().chunk_retries == 2
         assert executor.stats().lane_respawns >= 2
 
+    def test_lane_killed_mid_result_write_does_not_silence_the_pool(
+        self, registry, tmp_path, monkeypatch
+    ):
+        # the first execution answers with a result far larger than a pipe
+        # buffer, so its lane blocks part-way through writing it; the lane
+        # is killed there.  Its chunk is retried and the other lane's
+        # chunk still comes back — the pool neither waits for the rest of
+        # the torn message nor for a lock the dead writer held.
+        import dataclasses
+        import threading
+        import time
+
+        from repro.sat import registry as sat_registry
+
+        marker = tmp_path / "huge-once"
+        marker.write_text("")
+        decided = tmp_path / "decided"
+        spec = sat_registry.get_decider("exptime_types")
+        original = spec.fn
+
+        def huge_once(query, dtd, max_facts=22, context=None):
+            result = original(query, dtd, max_facts, context=context)
+            if marker.exists():
+                marker.unlink()
+                decided.write_text("")
+                result = dataclasses.replace(result, reason="x" * (4 << 20))
+            return result
+
+        monkeypatch.setitem(
+            sat_registry._REGISTRY, "exptime_types",
+            dataclasses.replace(spec, fn=huge_once),
+        )
+        executor = PersistentPoolExecutor(2, affinity=True)
+        drained = []
+        try:
+            task, dtd = _chunk_task(registry, "disjfree", HEAVY[:1], task_id=1)
+            executor.submit(task, dtd)
+            deadline = time.monotonic() + 30
+            while not decided.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert decided.exists()
+            time.sleep(0.5)         # the lane is now blocked mid-write
+            for lane in executor._lanes:
+                if lane.process is not None:
+                    lane.process.kill()
+                    lane.process.join(timeout=10)
+            healthy, threesat_dtd = _chunk_task(
+                registry, "threesat", ("X1/T",), task_id=2
+            )
+            executor.submit(healthy, threesat_dtd)
+            drainer = threading.Thread(
+                target=lambda: drained.extend(executor.drain()), daemon=True
+            )
+            drainer.start()
+            drainer.join(timeout=30)
+            assert not drainer.is_alive(), "drain hung after a lane died"
+        finally:
+            executor.close()
+        outcomes = {task.task_id: outcome for task, outcome in drained}
+        assert set(outcomes) == {1, 2}
+        assert outcomes[1].error is None and outcomes[1].retried is True
+        assert outcomes[1].outcomes[0][0] is True
+        assert outcomes[2].error is None and outcomes[2].outcomes[0][0] is True
+
     def test_lanes_fork_lazily(self, registry):
         # a light run must not pay for the whole pool: only the lane a
         # chunk routes to actually starts a process

@@ -21,20 +21,17 @@ from repro.dtd import parse_dtd
 from repro.engine import BatchEngine, DecisionCache, SchemaRegistry
 from repro.sat import (
     DEFAULT_PLANNER,
-    CostModel,
     ExecutionTrace,
     Plan,
     Planner,
     all_deciders,
     bounded,
     build_plan,
-    calibrate,
     decide,
     exptime_types,
     get_decider,
     nexptime,
     routing_table,
-    size_bucket,
 )
 from repro.sat.family import sat_universal_family
 from repro.sat.planner import execute_plan
@@ -318,7 +315,7 @@ class TestExecutePlanDirectly:
         assert after == before + 1
 
 
-# -- plan round-trip and cost-based choice --------------------------------------
+# -- plan round-trip ------------------------------------------------------------
 
 class TestPlanRoundTrip:
     """Property: ``Plan.to_dict`` -> ``Plan.from_dict`` is the identity —
@@ -346,111 +343,17 @@ class TestPlanRoundTrip:
         assert (rebuilt.decider, rebuilt.fallbacks, rebuilt.rewrites, rebuilt.route) \
             == (plan.decider, plan.fallbacks, plan.rewrites, plan.route)
 
-    @settings(max_examples=30)
-    @given(feature_bits=st.integers(min_value=0, max_value=2 ** len(Feature) - 1))
-    def test_round_trip_survives_json_and_cost_annotations(self, feature_bits):
-        import json
-
-        members = sorted(Feature, key=lambda f: f.value)
-        features = frozenset(
-            feature for index, feature in enumerate(members)
-            if feature_bits >> index & 1
-        )
-        model = CostModel(min_samples=1)
+    def test_from_dict_ignores_a_stored_cost_annotation(self):
+        # plans persisted when chains were ordered by measured latency
+        # carry a ``costs`` list; it is dropped on load
         plan = build_plan(
-            features, has_dtd=True, traits=lambda name: False,
-            schema="abc123def456", cost_model=model, schema_size=12,
+            features_of(parse_query("A[not(B)]")), has_dtd=True,
+            traits=lambda name: False, schema="abc123def456",
         )
-        assert plan.costs  # the model annotates every chain member
-        rebuilt = Plan.from_dict(json.loads(json.dumps(plan.to_dict())))
-        assert rebuilt == plan
-        assert rebuilt.telemetry_key == plan.telemetry_key
-
-    def test_telemetry_key_ignores_cost_annotations(self):
-        features = features_of(parse_query("A[not(B)]"))
-        bare = build_plan(features, has_dtd=True, traits=lambda name: False)
-        annotated = build_plan(
-            features, has_dtd=True, traits=lambda name: False,
-            cost_model=CostModel(), schema_size=12,
-        )
-        assert bare.telemetry_key == annotated.telemetry_key
-
-
-class TestCostBasedChoice:
-    def _neg_features(self):
-        return features_of(parse_query("A[not(B)]"))
-
-    def test_unmeasured_model_keeps_static_order(self):
-        features = self._neg_features()
-        static = build_plan(features, has_dtd=True, traits=lambda name: False)
-        costed = build_plan(
-            features, has_dtd=True, traits=lambda name: False,
-            cost_model=CostModel(), schema_size=12,
-        )
-        assert costed.decider == static.decider
-        assert costed.fallbacks == static.fallbacks
-        assert costed.route == static.route
-
-    def test_measured_fallback_gets_promoted(self):
-        features = self._neg_features()
-        static = build_plan(features, has_dtd=True, traits=lambda name: False)
-        assert static.decider == "exptime_types"
-        assert "nexptime" in static.fallbacks
-        model = CostModel(min_samples=3)
-        bucket = size_bucket(12)
-        for _ in range(3):
-            model.observe(static.signature, bucket, "nexptime", 0.1)
-            model.observe(static.signature, bucket, "exptime_types", 5.0)
-        promoted = build_plan(
-            features, has_dtd=True, traits=lambda name: False,
-            cost_model=model, schema_size=12,
-        )
-        assert promoted.decider == "nexptime"
-        assert promoted.fallbacks == ("exptime_types",)
-        assert any("promoted" in note for note in promoted.notes)
-        # chain members never change, only their order
-        assert set((promoted.decider,) + promoted.fallbacks) \
-            == set((static.decider,) + static.fallbacks)
-
-    def test_measured_cheap_primary_routes_inline(self):
-        features = self._neg_features()
-        model = CostModel(min_samples=1)
-        bucket = size_bucket(12)
-        model.observe("neg,qual", bucket, "exptime_types", 0.2)
-        plan = build_plan(
-            features, has_dtd=True, traits=lambda name: False,
-            cost_model=model, schema_size=12,
-        )
-        assert plan.decider == "exptime_types"
-        assert plan.route == "inline"
-
-    def test_slow_measurement_never_outranks_by_accident(self):
-        features = self._neg_features()
-        model = CostModel(min_samples=1)
-        bucket = size_bucket(500)
-        model.observe("neg,qual", bucket, "nexptime", 9000.0)
-        model.observe("neg,qual", bucket, "exptime_types", 3.0)
-        plan = build_plan(
-            features, has_dtd=True, traits=lambda name: False,
-            cost_model=model, schema_size=500,
-        )
-        assert plan.decider == "exptime_types"
-
-    def test_size_buckets_are_independent(self):
-        features = self._neg_features()
-        model = CostModel(min_samples=1)
-        model.observe("neg,qual", size_bucket(8), "nexptime", 0.05)
-        model.observe("neg,qual", size_bucket(8), "exptime_types", 4.0)
-        tiny = build_plan(
-            features, has_dtd=True, traits=lambda name: False,
-            cost_model=model, schema_size=8,
-        )
-        large = build_plan(
-            features, has_dtd=True, traits=lambda name: False,
-            cost_model=model, schema_size=500,
-        )
-        assert tiny.decider == "nexptime"
-        assert large.decider == "exptime_types"
+        record = plan.to_dict()
+        assert "costs" not in record
+        record["costs"] = [[plan.decider, 0.4], [plan.fallbacks[0], 0.9]]
+        assert Plan.from_dict(record) == plan
 
 
 class TestExecutionTraceAndFallThrough:
@@ -467,14 +370,16 @@ class TestExecutionTraceAndFallThrough:
     def test_promoted_semi_decision_falls_through_on_unknown(self):
         """An `unknown` from a non-final chain member must not become the
         answer while a definitive member remains — the guarantee that
-        makes cost-based promotion verdict-preserving."""
+        lets a chain headed by a semi-decision procedure, or a persisted
+        plan stored in another chain order, answer as the static plan
+        does."""
         dtd = parse_dtd(GENERAL_DTD)
         query = parse_query("A[not(B)]")
         static = build_plan(
             features_of(query), has_dtd=True, traits=lambda name: False
         )
-        # force a semi-decision procedure first, as an aggressive cost
-        # model would on a bucket where it measured fast; `bounded` honours
+        # force a semi-decision procedure first, as a plan persisted in
+        # another chain order may have it; `bounded` honours
         # the caller's search bounds, so tight bounds make it answer
         # `unknown` while the definitive members ignore them
         chain = (static.decider,) + static.fallbacks
@@ -499,33 +404,41 @@ class TestExecutionTraceAndFallThrough:
         assert trace.decider == "exptime_types"
 
     def test_static_and_promoted_chains_agree_on_verdicts(self, registry):
+        """The static chain, the trait-resolved chain the planner builds
+        for a registered schema, and every chain with one fallback
+        promoted to the head (the order a persisted plan may carry) give
+        the same verdict."""
         artifacts = registry.get("general")
         queries = [
             "A[not(B)]", "B[not(C)]", ".[not(A)]", "A[not(D)]",
             ".[A and not(B)]", ".[not(B) and not(C)]",
         ]
-        static_planner = Planner()
-        model = CostModel(min_samples=1)
-        plan = static_planner.plan_query(
-            parse_query(queries[0]), artifacts=artifacts
-        )
-        calibrate(
-            model, plan, [parse_query(q) for q in queries[:3]], artifacts.dtd
-        )
-        cost_planner = Planner(cost_model=model)
+        planner = Planner()
         for text in queries:
             query = parse_query(text)
             static_plan = build_plan(
                 features_of(query), has_dtd=True,
                 traits=lambda name: False, schema=artifacts.short_fingerprint,
             )
-            cost_plan = cost_planner.plan_for(
-                features_of(query),
-                dtd=artifacts.dtd,
-            )
-            static_result = execute_plan(static_plan, query, artifacts.dtd)
-            cost_result = execute_plan(cost_plan, query, artifacts.dtd)
-            assert static_result.satisfiable == cost_result.satisfiable, text
+            resolved_plan = planner.plan_query(query, artifacts=artifacts)
+            chain = (static_plan.decider,) + static_plan.fallbacks
+            assert len(chain) > 1, text
+            promoted_plans = [
+                Plan(
+                    signature=static_plan.signature,
+                    schema=static_plan.schema,
+                    rewrites=static_plan.rewrites,
+                    decider=head,
+                    fallbacks=tuple(name for name in chain if name != head),
+                    route="pool",
+                )
+                for head in static_plan.fallbacks
+            ]
+            expected = execute_plan(static_plan, query, artifacts.dtd).satisfiable
+            assert expected is not None, text
+            for plan in [resolved_plan, *promoted_plans]:
+                result = execute_plan(plan, query, artifacts.dtd)
+                assert result.satisfiable == expected, (text, plan.decider)
 
 
 class TestArtifactTraitResolution:
@@ -603,21 +516,3 @@ class TestArtifactTraitResolution:
         from repro.sat.planner import _artifact_trait
 
         assert _artifact_trait(Legacy(), "disjunction_free") is True
-
-
-class TestPlannerInvalidate:
-    def test_invalidate_forces_replan_under_new_measurements(self, registry):
-        artifacts = registry.get("general")
-        model = CostModel(min_samples=1)
-        planner = Planner(cost_model=model)
-        query = parse_query("A[not(B)]")
-        first = planner.plan_query(query, artifacts=artifacts)
-        assert first.decider == "exptime_types"
-        bucket = size_bucket(artifacts.dtd.size())
-        model.observe(first.signature, bucket, "nexptime", 0.05)
-        model.observe(first.signature, bucket, "exptime_types", 8.0)
-        # cached plan still served until invalidated
-        assert planner.plan_query(query, artifacts=artifacts).decider == "exptime_types"
-        dropped = planner.invalidate(artifacts)
-        assert dropped >= 1
-        assert planner.plan_query(query, artifacts=artifacts).decider == "nexptime"

@@ -1,9 +1,9 @@
 """Tests for the shared SQLite state tier (:mod:`repro.engine.statetier`).
 
-Covers the tier's consistency model (LWW per key, monotonic cost-sample
-merge, decay hygiene), crash-safety of the atomic file write beside it
-(``metrics.prom``), warm starts through the tier, concurrent
-multi-process writers, legacy JSON-dir migration, and
+Covers the tier's consistency model (LWW per key), crash-safety of the
+atomic file write beside it (``metrics.prom``), warm starts through the
+tier, concurrent multi-process writers, legacy JSON-dir migration, the
+upgrade of state written when plans carried measured costs, and
 version/corruption handling.
 """
 
@@ -16,11 +16,10 @@ import shutil
 import sqlite3
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.engine import BatchEngine, Job, SchemaRegistry, StateTier
+from repro.engine.cache import CachedDecision, DecisionCache
 from repro.engine.state import METRICS_FILE, _atomic_write_text, load_state
 from repro.engine.statetier import (
     TIER_FILENAME,
@@ -29,7 +28,6 @@ from repro.engine.statetier import (
     resolve_tier_path,
 )
 from repro.errors import EngineError
-from repro.sat.costmodel import CostModel
 
 DTD_TEXT = """
 root r
@@ -177,7 +175,6 @@ class TestTierBasics:
             state = tier.load()
         assert state.plan_count >= 1
         assert state.decisions
-        assert state.cost_model is not None and len(state.cost_model) >= 1
         assert state.scheduler["group_chunk_size"] == 16
         assert state.telemetry is not None
 
@@ -225,138 +222,9 @@ class TestTierBasics:
         assert "repro_tier_loads_total 1" in rendered
         assert "repro_tier_saves_total 1" in rendered
         assert "repro_tier_rows_written_total" in rendered
-        assert "repro_tier_cells_merged_total" in rendered
         engine.close()
         # metrics.prom lands next to the database for textfile collectors
         assert os.path.exists(str(tmp_path / "tier" / "metrics.prom"))
-
-
-# -- satellite: cost-model merge hygiene ------------------------------------------
-
-class TestCostMergeHygiene:
-    def test_merge_is_float_weighted_and_preserves_means(self):
-        left = CostModel()
-        for _ in range(2):
-            left.observe("sig", "s", "d", 5.0)      # mean 5.0
-        right = CostModel()
-        for _ in range(6):
-            right.observe("sig", "s", "d", 10.0)    # mean 10.0
-        left.merge(right)
-        entry = left.measured("sig", "s", "d")
-        assert entry.count == pytest.approx(8.0)
-        assert entry.total_ms == pytest.approx(70.0)
-        assert entry.mean_ms == pytest.approx(8.75)  # sample-weighted
-
-    def test_merge_takes_last_tick_max(self):
-        left = CostModel()
-        left.observe("sig", "s", "d", 1.0)
-        right = CostModel()
-        for _ in range(5):
-            right.observe("sig", "s", "d", 1.0)
-        right_tick = right.measured("sig", "s", "d").last_tick
-        left.merge(right)
-        assert left.measured("sig", "s", "d").last_tick == right_tick
-
-    def test_tier_merge_is_additive_across_handles(self, tmp_path):
-        tier_path = str(tmp_path / "tier")
-        one = StateTier(tier_path)
-        model_one = CostModel()
-        for _ in range(3):
-            model_one.observe("sig", "s", "d", 2.0)
-        one.save(cost_model=model_one)
-
-        two = StateTier(tier_path)
-        loaded = two.load().cost_model
-        assert loaded.measured("sig", "s", "d").count == pytest.approx(3.0)
-        model_two = CostModel()
-        model_two.merge(loaded)
-        two.note_cost_baseline(model_two)   # what the engine does on load
-        for _ in range(2):
-            model_two.observe("sig", "s", "d", 4.0)
-        two.save(cost_model=model_two)
-
-        merged = one.load().cost_model.measured("sig", "s", "d")
-        assert merged.count == pytest.approx(5.0)
-        assert merged.total_ms == pytest.approx(3 * 2.0 + 2 * 4.0)
-        one.close()
-        two.close()
-
-    def test_resave_without_new_samples_adds_nothing(self, tmp_path):
-        tier = StateTier(str(tmp_path / "tier"))
-        model = CostModel()
-        model.observe("sig", "s", "d", 1.0)
-        tier.save(cost_model=model)
-        tier.save(cost_model=model)     # no growth since the baseline
-        tier.save(cost_model=model)
-        entry = tier.load().cost_model.measured("sig", "s", "d")
-        assert entry.count == pytest.approx(1.0)
-        tier.close()
-
-    def test_decayed_cells_never_resurrect_from_the_tier(self, tmp_path):
-        tier_path = str(tmp_path / "tier")
-        tier = StateTier(tier_path)
-        model = CostModel()
-        model.observe("sig", "s", "d", 1.0)
-        tier.save(cost_model=model)
-        assert tier.load().cost_model is not None
-
-        dropped = model.decay(0.25)     # count 1 -> 0.25 -> dropped
-        assert dropped == 1
-        tier.save(cost_model=model)
-        assert tier.cells_deleted == 1
-        state = tier.load()
-        assert (
-            state.cost_model is None
-            or state.cost_model.measured("sig", "s", "d") is None
-        )
-        tier.close()
-
-    def test_reobservation_after_drop_revives_the_cell(self, tmp_path):
-        tier = StateTier(str(tmp_path / "tier"))
-        model = CostModel()
-        model.observe("sig", "s", "d", 1.0)
-        tier.save(cost_model=model)
-        model.decay(0.25)
-        model.observe("sig", "s", "d", 7.0)     # fresh sample: legitimate
-        tier.save(cost_model=model)
-        entry = tier.load().cost_model.measured("sig", "s", "d")
-        assert entry is not None
-        assert entry.count >= 1.0
-        tier.close()
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=1),
-                st.floats(min_value=0.1, max_value=50.0),
-            ),
-            min_size=1, max_size=30,
-        ),
-        st.integers(min_value=1, max_value=4),
-    )
-    def test_no_samples_lost_across_interleaved_saves(
-        self, tmp_path_factory, samples, save_every
-    ):
-        """Property: however two writers interleave observations and
-        saves, the tier ends up with every sample exactly once."""
-        tmp_path = tmp_path_factory.mktemp("tier-prop")
-        tier_path = str(tmp_path / "tier")
-        handles = [StateTier(tier_path), StateTier(tier_path)]
-        models = [CostModel(), CostModel()]
-        for step, (writer, elapsed) in enumerate(samples):
-            models[writer].observe("sig", "s", "d", elapsed)
-            if step % save_every == 0:
-                handles[writer].save(cost_model=models[writer])
-        for handle, model in zip(handles, models):
-            handle.save(cost_model=model)
-        entry = handles[0].load().cost_model.measured("sig", "s", "d")
-        assert entry.count == pytest.approx(len(samples))
-        assert entry.total_ms == pytest.approx(
-            sum(elapsed for _, elapsed in samples), rel=1e-3
-        )
-        for handle in handles:
-            handle.close()
 
 
 # -- satellite: warm starts through the tier --------------------------------------
@@ -453,55 +321,60 @@ class TestWarmStart:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["plans"]
-        assert payload["cost_model"]["entries"]
         assert len(payload["processes"]) == 1
 
 
-def _concurrent_writer(tier_path: str, samples: int, ms: float) -> None:
+def _concurrent_writer(tier_path: str, writer: int, decisions: int) -> None:
+    """Put ``decisions`` verdicts no other writer touches (this writer's
+    own fingerprint), saving the whole cache every 5 puts."""
     tier = StateTier(tier_path)
-    model = CostModel()
-    model.merge(tier.load().cost_model or CostModel())
-    tier.note_cost_baseline(model)
-    for i in range(samples):
-        model.observe("sig", "s", "d", ms)
+    cache = DecisionCache()
+    for i in range(decisions):
+        cache.put(
+            (f"q{i}", f"writer{writer}", "-"),
+            CachedDecision(i % 2 == 0, "downward"),
+        )
         if i % 5 == 0:
-            tier.save(cost_model=model)
-    tier.save(cost_model=model)
+            tier.save(cache=cache)
+    tier.save(cache=cache)
     tier.close()
 
 
 class TestConcurrentWriters:
-    def _run(self, tier_path: str, writers: int, samples: int) -> None:
+    """N processes saving disjoint decisions into one tier at once: the
+    busy-retry write path must land every row."""
+
+    def _run(self, tier_path: str, writers: int, decisions: int) -> None:
         processes = [
             multiprocessing.Process(
-                target=_concurrent_writer, args=(tier_path, samples, 2.0)
+                target=_concurrent_writer, args=(tier_path, writer, decisions)
             )
-            for _ in range(writers)
+            for writer in range(writers)
         ]
         for process in processes:
             process.start()
         for process in processes:
             process.join(timeout=120)
             assert process.exitcode == 0
-
-    def test_two_process_writers_lose_no_samples(self, tmp_path):
-        tier_path = str(tmp_path / "tier")
-        self._run(tier_path, writers=2, samples=25)
         with StateTier(tier_path) as tier:
-            entry = tier.load().cost_model.measured("sig", "s", "d")
-        assert entry.count == pytest.approx(2 * 25)
-        assert entry.total_ms == pytest.approx(2 * 25 * 2.0, rel=1e-3)
+            stored = dict(tier.load().decisions)
+        assert set(stored) == {
+            (f"q{i}", f"writer{writer}", "-")
+            for writer in range(writers)
+            for i in range(decisions)
+        }
+        for (qkey, _fingerprint, _bounds), record in stored.items():
+            assert record["satisfiable"] is (int(qkey[1:]) % 2 == 0)
+
+    def test_two_process_writers_lose_no_decisions(self, tmp_path):
+        self._run(str(tmp_path / "tier"), writers=2, decisions=25)
 
     @pytest.mark.skipif(
         os.environ.get("REPRO_TIER_STRESS") != "1",
         reason="heavier tier stress runs nightly (REPRO_TIER_STRESS=1)",
     )
-    def test_many_process_writers_lose_no_samples(self, tmp_path):
-        tier_path = str(tmp_path / "tier")
-        self._run(tier_path, writers=6, samples=200)
-        with StateTier(tier_path) as tier:
-            entry = tier.load().cost_model.measured("sig", "s", "d")
-        assert entry.count == pytest.approx(6 * 200)
+    def test_many_process_writers_lose_no_decisions(self, tmp_path):
+        self._run(str(tmp_path / "tier"), writers=6, decisions=200)
 
 
 def _fresh_opener(root: str, trials: int, barrier, failures) -> None:
@@ -599,7 +472,7 @@ class TestLegacyMigration:
         state = tier.load()
         tier.close()
 
-        # plans, decisions, cost cells, scheduler round-trip exactly
+        # plans, decisions, scheduler round-trip exactly
         assert {
             (fp, sig) for fp, plans in state.plans.items() for sig in plans
         } == {
@@ -608,7 +481,6 @@ class TestLegacyMigration:
         assert sorted(key for key, _ in state.decisions) == sorted(
             key for key, _ in legacy.decisions
         )
-        assert state.cost_model.to_dict() == legacy.cost_model.to_dict()
         assert state.scheduler == legacy.scheduler
         assert sorted(state.telemetry.items()) == sorted(
             legacy.telemetry.items()
@@ -707,3 +579,126 @@ class TestLegacyMigration:
         second = StateTier(state_dir)   # database exists: no re-import
         assert second.migrated_records == 0
         second.close()
+
+
+# -- satellite: state written when plans carried measured costs -------------------
+
+#: the table through which earlier releases persisted measured decider
+#: latency (its rows and the ``cost_min_samples`` meta row are no longer
+#: read, and nothing drops them)
+_OLD_COST_TABLE = """
+CREATE TABLE IF NOT EXISTS cost_cells (
+    signature TEXT NOT NULL,
+    bucket TEXT NOT NULL,
+    decider TEXT NOT NULL,
+    count REAL NOT NULL,
+    total_ms REAL NOT NULL,
+    last_tick INTEGER NOT NULL,
+    PRIMARY KEY (signature, bucket, decider)
+);
+"""
+
+#: questions absent from any stored decision cache but sharing the stored
+#: plans' signatures, so the adopted plans really execute
+_UNCACHED_JOBS = [
+    Job(query, schema, id=f"{schema}:{query}")
+    for schema in ("catalog", "doc")
+    for query in ("C[not(A)]", "title[not(text)]", ".[A and title]", "^/B", "C")
+]
+
+
+def _plan_rows(state_path: str) -> list[str]:
+    conn = sqlite3.connect(resolve_tier_path(state_path))
+    try:
+        return [plan for (plan,) in conn.execute("SELECT plan FROM plans")]
+    finally:
+        conn.close()
+
+
+def _answers(report) -> list[tuple]:
+    """Verdict and error text per job — the method may differ when a
+    stored chain runs in another order."""
+    return [(r.id, r.satisfiable, r.error) for r in report.results]
+
+
+def _fresh_answers(jobs) -> list[tuple]:
+    with BatchEngine(registry=_registry()) as engine:
+        return _answers(engine.run(jobs))
+
+
+class TestCostStateUpgrade:
+    def test_tier_with_cost_rows_loads_and_sheds_costs(self, tmp_path):
+        """A tier holding cost cells, the ``cost_min_samples`` meta row and
+        plan rows annotated with ``costs`` (one chain stored in a
+        cost-promoted order) loads without a warning, keeps each stored
+        chain, answers like a fresh engine, and writes no ``costs`` back."""
+        tier_path = str(tmp_path / "tier")
+        with BatchEngine(registry=_registry(), state_tier=tier_path) as seed:
+            seed.run(_jobs() + _UNCACHED_JOBS)
+            seed.cache.clear()          # plans persist, decisions do not
+            seed.save_state()
+        conn = sqlite3.connect(resolve_tier_path(tier_path))
+        conn.executescript(_OLD_COST_TABLE)
+        conn.executemany(
+            "INSERT OR REPLACE INTO cost_cells VALUES(?, ?, ?, ?, ?, ?)",
+            [("neg,qual", "s", "nexptime", 9.0, 2.7, 12),
+             ("neg,qual", "s", "exptime_types", 9.0, 4.5, 12),
+             ("()", "s", "downward", 4.0, 0.3, 5)],
+        )
+        conn.execute(
+            "INSERT OR REPLACE INTO meta(key, value) "
+            "VALUES('cost_min_samples', '3')"
+        )
+        for fingerprint, signature, plan_json in conn.execute(
+            "SELECT fingerprint, signature, plan FROM plans"
+        ).fetchall():
+            record = json.loads(plan_json)
+            chain = [record["decider"]] + record["fallbacks"]
+            if signature == "neg,qual":
+                chain.reverse()         # measured cheaper: promoted
+                record["decider"], record["fallbacks"] = chain[0], chain[1:]
+            record["costs"] = [[name, 0.25 * (i + 1)] for i, name in enumerate(chain)]
+            conn.execute(
+                "UPDATE plans SET plan = ? WHERE fingerprint = ? AND signature = ?",
+                (json.dumps(record, sort_keys=True), fingerprint, signature),
+            )
+        conn.commit()
+        conn.close()
+        assert all('"costs"' in plan for plan in _plan_rows(tier_path))
+
+        jobs = _jobs() + _UNCACHED_JOBS
+        with BatchEngine(registry=_registry(), state_tier=tier_path) as warm:
+            assert warm.state_warnings == []
+            report = warm.run(jobs)
+            assert report.stats.planner_invocations == 0
+            promoted = warm.registry.get("catalog").plan_cache["neg,qual"]
+            assert (promoted.decider,) + promoted.fallbacks \
+                == ("nexptime", "exptime_types")
+            warm.save_state()
+        assert _answers(report) == _fresh_answers(jobs)
+        rows = _plan_rows(tier_path)
+        assert rows and not any('"costs"' in plan for plan in rows)
+        # the old rows stay where they were: nothing reads or drops them
+        conn = sqlite3.connect(resolve_tier_path(tier_path))
+        assert conn.execute("SELECT COUNT(*) FROM cost_cells").fetchone() == (3,)
+        conn.close()
+
+    def test_legacy_json_fixture_with_cost_data(self, tmp_path):
+        """The committed JSON fixture carries ``cost_model.json`` and
+        ``costs`` on its plans: importing it warns only about the chains
+        naming a retired decider, answers like a fresh engine, and the
+        next save leaves no ``costs`` in any plan row."""
+        state_dir = _legacy_state_dir(tmp_path)
+        assert os.path.exists(os.path.join(state_dir, "cost_model.json"))
+        jobs = _jobs() + _UNCACHED_JOBS
+        with BatchEngine(registry=_registry(), state_tier=state_dir) as warm:
+            assert warm.state_warnings
+            assert all(
+                "exptime_types_bits" in warning and "cost" not in warning
+                for warning in warm.state_warnings
+            )
+            report = warm.run(jobs)
+            warm.save_state()
+        assert _answers(report) == _fresh_answers(jobs)
+        rows = _plan_rows(state_dir)
+        assert rows and not any('"costs"' in plan for plan in rows)
