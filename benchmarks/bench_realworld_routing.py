@@ -23,17 +23,15 @@ verdict equivalence is still enforced.
 from __future__ import annotations
 
 import json
-import os
 import random
 import time
 
-from benchmarks.conftest import format_table
+from benchmarks.conftest import QUICK, format_table, write_result
 from repro.engine.batch import BatchEngine
 from repro.engine.registry import SchemaRegistry
 from repro.sat import registry as sat_registry
 from repro.workloads.realworld import realworld_jobs, realworld_schemas
 
-QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
 N_JOBS = 60 if QUICK else 360
 #: depth 4 keeps each pooled EXPTIME decision heavy enough that the
 #: fork/IPC + decider cost dominates the ablated arm
@@ -45,8 +43,6 @@ SEED = 20250611
 #: lanes, >=90% of decided jobs answer inline, >=3x end-to-end
 SPEEDUP_BAR = 3.0
 INLINE_BAR = 0.9
-
-_RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
 
 def _run_arm(jobs):
@@ -115,7 +111,6 @@ def test_realworld_routing(report, benchmark):
         ]],
     ))
 
-    os.makedirs(_RESULTS_DIR, exist_ok=True)
     payload = {
         "benchmark": "realworld_routing",
         "quick": QUICK,
@@ -124,9 +119,7 @@ def test_realworld_routing(report, benchmark):
         "inline_bar": INLINE_BAR,
         "workload": entry,
     }
-    with open(os.path.join(_RESULTS_DIR, "BENCH_realworld.json"), "w") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+    write_result("BENCH_realworld.json", json.dumps(payload, indent=2) + "\n")
 
     assert entry["trait_routed_answers"].get("realworld", 0) > 0, (
         "no jobs were answered by the trait-gated realworld decider"

@@ -38,19 +38,16 @@ import tempfile
 import time
 
 import repro
-from benchmarks.conftest import format_table
+from benchmarks.conftest import QUICK, format_table, write_result
 from repro.dtd import parse_dtd
 from repro.workloads import batch_jobs
 
-QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
 PROC_COUNTS = (1, 2) if QUICK else (1, 2, 4)
 N_JOBS = 60 if QUICK else 400
 SEED = 20250611
 #: full-mode acceptance bar: a 2-process fleet on a >=2-core host moves
 #: at least this much more workload per second than 1 process
 SPEEDUP_BAR = 1.6
-
-_RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
 _SCHEMAS = {
     "catalog": """
@@ -235,7 +232,6 @@ def test_scaleout_throughput(report, benchmark):
             f"host has {cores} CPU core(s): near-linear multi-process "
             "scaling needs cores to scale onto"
         )
-    os.makedirs(_RESULTS_DIR, exist_ok=True)
     payload = {
         "benchmark": "scaleout_throughput",
         "quick": QUICK,
@@ -246,9 +242,7 @@ def test_scaleout_throughput(report, benchmark):
         "speedup_assertion_skipped": skipped,
         "rows": entry["rows"],
     }
-    with open(os.path.join(_RESULTS_DIR, "BENCH_scaleout.json"), "w") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+    write_result("BENCH_scaleout.json", json.dumps(payload, indent=2) + "\n")
 
     if skipped is None:
         assert speedup_2p is not None and speedup_2p >= SPEEDUP_BAR, (

@@ -5,6 +5,11 @@ DESIGN.md Section 4).  Timing goes through pytest-benchmark; the
 regenerated table *rows* are registered through the ``report`` fixture and
 printed in the terminal summary (so they survive output capturing), as
 well as written to ``benchmarks/results/<name>.txt``.
+
+Quick mode (``REPRO_BENCH_QUICK=1``, CI's smoke runs) writes nothing
+under ``benchmarks/results/``: the committed records there are full-mode
+runs, and a shrunken quick run must not replace them.  The terminal
+summary still shows every table.
 """
 
 from __future__ import annotations
@@ -16,6 +21,16 @@ import pytest
 
 _REPORTS: dict[str, str] = {}
 _RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
+QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
+
+
+def write_result(filename: str, text: str) -> None:
+    """Write ``benchmarks/results/<filename>`` (nothing in quick mode)."""
+    if QUICK:
+        return
+    os.makedirs(_RESULTS_DIR, exist_ok=True)
+    with open(os.path.join(_RESULTS_DIR, filename), "w") as handle:
+        handle.write(text)
 
 
 def format_table(headers: list[str], rows: list[list[object]]) -> str:
@@ -39,10 +54,7 @@ def report():
 
     def _register(name: str, text: str) -> None:
         _REPORTS[name] = text
-        os.makedirs(_RESULTS_DIR, exist_ok=True)
-        path = os.path.join(_RESULTS_DIR, f"{name}.txt")
-        with open(path, "w") as handle:
-            handle.write(text + "\n")
+        write_result(f"{name}.txt", text + "\n")
 
     return _register
 

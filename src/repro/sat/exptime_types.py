@@ -34,9 +34,23 @@ idea behind Genevès/Layaïda's analyzer): :class:`CompiledClosure` compiles
 the closure once per query into a linear program of index-addressed bit
 operations, node types pack into single ints ``label_id << (Q + D) |
 truth_bits << D | dtruth_bits``, BFS nodes pack into ``fact_bits <<
-state_shift | state``, and :class:`_LabelSearch` runs the reachability
-step *semi-naively* — each round only explores transitions enabled by
-the types the previous round added.  The closure decomposition
+state_shift | state``, and the reachability step runs *semi-naively*
+on two levels:
+
+* **within a label** — each :class:`_LabelSearch` keeps its settled
+  nodes across rounds, with one frontier pointer per child label, so an
+  extension only explores transitions enabled by types added since the
+  label's last extension;
+* **across labels** — a label worklist driven by the schema's ``feeds``
+  table (:class:`TypesContext`: for each label, the labels whose content
+  models mention it).  A search is extended only on the first round or
+  after one of its child labels gained a type; a new type marks the
+  labels it feeds dirty.  Every skipped extension is one that would have
+  found nothing.
+
+Rounds still sweep the labels in order and stop after a round that adds
+no type, so types, their ids, the round count and the witness trees are
+those of the full sweep.  The closure decomposition
 (:func:`first_cases`, :class:`_Closure`) is shared with
 :mod:`repro.sat.realworld`.
 """
@@ -411,17 +425,20 @@ class CompiledClosure:
 
 class _LabelSearch:
     """Persistent per-label reachability over (Glushkov state × fact
-    bitmask), the semi-naive half of the fixpoint.
+    bitmask), the within-label level of the semi-naive fixpoint.
 
     Re-running this BFS from scratch for every label on every fixpoint
     round would repeat all of round ``N-1``'s exploration in round
     ``N``.  Instead the search keeps ``seen``/``parents``/``nodes``
-    across rounds and ``ptr[label]`` records how many of that label's
-    realizable types every settled node has been expanded against, so
-    :meth:`extend` only walks **new** transitions: settled nodes × types
-    added since the last round, plus full expansion of any node that
-    first becomes reachable.  Each call yields the newly achievable
-    ``(fact bitmask, witnessing child-type word)`` pairs.
+    across rounds and ``ptr[label]`` is a frontier pointer: how many of
+    that label's realizable types every settled node has been expanded
+    against.  :meth:`extend` only walks **new** transitions — settled
+    nodes × types added since the last call, plus full expansion of any
+    node that first becomes reachable — and yields the newly achievable
+    ``(fact bitmask, witnessing child-type word)`` pairs.  The caller's
+    label worklist (:func:`sat_exptime_types`) calls it only on the first
+    round or when some child label gained a type, i.e. only when it can
+    find something.
     """
 
     __slots__ = ("arcs", "shift", "accept_mask", "seen", "parents",
@@ -445,15 +462,18 @@ class _LabelSearch:
 
     def extend(
         self,
-        types_by_label: list[list[int]],
-        type_contrib: list[int],
+        types_by_label: list[list[tuple[int, int]]],
+        counts: list[int],
     ) -> list[tuple[int, tuple[int, ...]]]:
+        """One round of this label's search.  ``types_by_label[label]``
+        lists ``(type id, fact contribution)`` pairs; ``counts[label]``
+        is its length, kept live by the caller."""
         arcs = self.arcs
         shift = self.shift
         state_mask = (1 << shift) - 1
         seen = self.seen
         parents = self.parents
-        limits = [len(types) for types in types_by_label]
+        nodes = self.nodes
         queue: deque[int] = deque()
         if not seen:
             # node 0 packs (state 0, empty fact set) — the BFS start
@@ -461,46 +481,43 @@ class _LabelSearch:
             queue.append(0)
         # phase 1: settled nodes × types added since this search last ran
         ptr = self.ptr
-        for position in range(len(self.nodes)):
-            node = self.nodes[position]
-            state = node & state_mask
+        for node in nodes:
             bits = node >> shift
-            for succ, child_label in arcs[state]:
+            for succ, child_label in arcs[node & state_mask]:
                 types = types_by_label[child_label]
-                for index in range(ptr[child_label], limits[child_label]):
-                    child = types[index]
-                    succ_node = (bits | type_contrib[child]) << shift | succ
+                for index in range(ptr[child_label], counts[child_label]):
+                    child, contrib = types[index]
+                    succ_node = (bits | contrib) << shift | succ
                     if succ_node not in seen:
                         seen.add(succ_node)
                         parents[succ_node] = (node, child)
                         queue.append(succ_node)
         # phase 2: full BFS of the newly reachable frontier
         accept = self.accept_mask
+        results = self.results
         out: list[tuple[int, tuple[int, ...]]] = []
         while queue:
             node = queue.popleft()
-            self.nodes.append(node)
+            nodes.append(node)
             state = node & state_mask
             bits = node >> shift
-            if accept >> state & 1 and bits not in self.results:
+            if accept >> state & 1 and bits not in results:
                 word: list[int] = []
                 current = node
                 while current:
                     current, chosen = parents[current]
                     word.append(chosen)
                 word.reverse()
-                self.results.add(bits)
+                results.add(bits)
                 out.append((bits, tuple(word)))
             for succ, child_label in arcs[state]:
-                types = types_by_label[child_label]
-                for index in range(limits[child_label]):
-                    child = types[index]
-                    succ_node = (bits | type_contrib[child]) << shift | succ
+                for child, contrib in types_by_label[child_label]:
+                    succ_node = (bits | contrib) << shift | succ
                     if succ_node not in seen:
                         seen.add(succ_node)
                         parents[succ_node] = (node, child)
                         queue.append(succ_node)
-        self.ptr = limits
+        self.ptr = counts.copy()
         return out
 
 
@@ -510,14 +527,16 @@ class TypesContext:
     """Schema-side packed tables for :func:`sat_exptime_types` (the
     decider's ``prepare`` hook): element types in sorted order, per-label
     Glushkov arcs annotated with child label ids, packed accepting
-    masks, plus a bounded memo of per-query compiled closures.  Like
+    masks, the ``feeds`` table (for each label, the labels whose
+    content models mention it — the searches a new type of it can
+    extend), plus a bounded memo of per-query compiled closures.  Like
     every ``prepare`` context this is a pure cache — worker-lane
     runtimes keep it warm across chunks, and it can never change a
     verdict.
     """
 
     __slots__ = ("labels", "label_index", "arcs", "shifts",
-                 "accept_masks", "_compiled")
+                 "accept_masks", "feeds", "_compiled")
 
     def __init__(self, dtd: DTD):
         dtd.require_terminating()
@@ -540,6 +559,12 @@ class TypesContext:
         self.arcs = tuple(arcs)
         self.shifts = tuple(shifts)
         self.accept_masks = tuple(accept_masks)
+        feeds: list[set[int]] = [set() for _ in self.labels]
+        for parent, label_arcs in enumerate(self.arcs):
+            for state_arcs in label_arcs:
+                for _succ, child_label in state_arcs:
+                    feeds[child_label].add(parent)
+        self.feeds = tuple(tuple(sorted(parents)) for parents in feeds)
         self._compiled = LruCache(capacity=256)
 
     def compiled(self, query: Path) -> CompiledClosure:
@@ -596,13 +621,18 @@ def sat_exptime_types(
     ]
     qd_shift = compiled.qual_count + compiled.dqual_count
     d_shift = compiled.dqual_count
-    types_by_label: list[list[int]] = [[] for _ in range(label_count)]
+    # (type id, fact contribution to a parent) per label, in id order
+    types_by_label: list[list[tuple[int, int]]] = [[] for _ in range(label_count)]
+    counts = [0] * label_count           # len(types_by_label[label]), live
+    # the label worklist: a search is extended only on the first round or
+    # when one of its child labels gained a type since its last extend;
+    # every skipped call would have found nothing
+    dirty = [True] * label_count
+    feeds = context.feeds
     type_labels: list[int] = []
     type_truths: list[int] = []
     type_realization: list[tuple[int, ...]] = []
-    type_contrib: list[int] = []
-    type_ids: dict[int, int] = {}        # packed (label, truths, dtruths) -> id
-    derive_memo: dict[int, int] = {}     # packed (fact_bits, label) -> type id
+    packed_types: set[int] = set()       # packed (label, truths, dtruths)
 
     rounds = 0
     changed = True
@@ -610,27 +640,29 @@ def sat_exptime_types(
         changed = False
         rounds += 1
         for label_id in range(label_count):
-            for bits, word in searches[label_id].extend(types_by_label, type_contrib):
-                memo_key = bits * label_count + label_id
-                type_id = derive_memo.get(memo_key)
-                if type_id is None:
-                    truth_bits, dtruth_bits = compiled.evaluate(label_id, bits)
-                    packed = (
-                        label_id << qd_shift | truth_bits << d_shift | dtruth_bits
-                    )
-                    type_id = type_ids.get(packed)
-                    if type_id is None:
-                        type_id = len(type_labels)
-                        type_ids[packed] = type_id
-                        type_labels.append(label_id)
-                        type_truths.append(truth_bits)
-                        type_realization.append(word)
-                        type_contrib.append(
-                            compiled.contribution(label_id, truth_bits, dtruth_bits)
-                        )
-                        types_by_label[label_id].append(type_id)
-                        changed = True
-                    derive_memo[memo_key] = type_id
+            if not dirty[label_id]:
+                continue
+            dirty[label_id] = False
+            found = searches[label_id].extend(types_by_label, counts)
+            # each search yields a fact set at most once, so every
+            # (label, fact set) pair is derived here exactly once
+            for bits, word in found:
+                truth_bits, dtruth_bits = compiled.evaluate(label_id, bits)
+                packed = label_id << qd_shift | truth_bits << d_shift | dtruth_bits
+                if packed in packed_types:
+                    continue
+                packed_types.add(packed)
+                type_id = len(type_labels)
+                type_labels.append(label_id)
+                type_truths.append(truth_bits)
+                type_realization.append(word)
+                types_by_label[label_id].append((type_id, compiled.contribution(
+                    label_id, truth_bits, dtruth_bits,
+                )))
+                counts[label_id] += 1
+                for parent in feeds[label_id]:
+                    dirty[parent] = True
+                changed = True
 
     stats = {
         "closure_quals": compiled.qual_count,
@@ -641,7 +673,7 @@ def sat_exptime_types(
     root_id = context.label_index[dtd.root]
     # the seed qualifier PathExists(query) is collected first: bit 0
     root_types = [
-        type_id for type_id in types_by_label[root_id]
+        type_id for type_id, _contrib in types_by_label[root_id]
         if type_truths[type_id] & 1
     ]
     if not root_types:

@@ -23,6 +23,7 @@ import random
 
 import pytest
 
+from repro.dtd import parse_dtd
 from repro.dtd.generator import random_dtd
 from repro.engine import BatchEngine, Job, SchemaRegistry
 from repro.errors import FragmentError, ReproError
@@ -43,6 +44,8 @@ from repro.sat.exptime_types import (
     Done,
     TypesContext,
     _Closure,
+    _LabelSearch,
+    _realize,
     _residual_qual,
     first_cases,
     prepare_types,
@@ -57,7 +60,7 @@ from repro.workloads.queries import random_query
 from repro.xmltree.validate import conforms
 from repro.xpath import ast, parse_query
 from repro.xpath.ast import Path, Qualifier
-from repro.xpath.fragments import REC_NEG_DOWN_UNION
+from repro.xpath.fragments import REC_NEG_DOWN_UNION, Feature, features_of
 from repro.xpath.semantics import satisfies
 
 #: the shared wide-schema query mix: negation-heavy closures with real
@@ -350,6 +353,150 @@ class TestWideSchemaBackends:
         assert context.compiled(parse_query("**/T9")) is context.compiled(
             parse_query("**/T9")
         )
+
+
+def _full_sweep(query, dtd, context):
+    """The types fixpoint with every label extended on every round: the
+    sweep the decider's label worklist must reproduce exactly.  Returns
+    ``(satisfiable, stats, witness text, extend calls)``."""
+    compiled = context.compiled(query)
+    label_count = len(context.labels)
+    searches = [
+        _LabelSearch(
+            context.arcs[index], context.shifts[index],
+            context.accept_masks[index], label_count,
+        )
+        for index in range(label_count)
+    ]
+    types_by_label = [[] for _ in range(label_count)]
+    counts = [0] * label_count
+    type_keys: dict[tuple[int, int, int], int] = {}
+    type_labels: list[int] = []
+    type_truths: list[int] = []
+    type_words: list[tuple[int, ...]] = []
+    rounds = calls = 0
+    changed = True
+    while changed:
+        changed = False
+        rounds += 1
+        for label_id in range(label_count):
+            calls += 1
+            for bits, word in searches[label_id].extend(types_by_label, counts):
+                truth_bits, dtruth_bits = compiled.evaluate(label_id, bits)
+                key = (label_id, truth_bits, dtruth_bits)
+                if key in type_keys:
+                    continue
+                type_id = type_keys[key] = len(type_labels)
+                type_labels.append(label_id)
+                type_truths.append(truth_bits)
+                type_words.append(word)
+                types_by_label[label_id].append((type_id, compiled.contribution(
+                    label_id, truth_bits, dtruth_bits,
+                )))
+                counts[label_id] += 1
+                changed = True
+    stats = {
+        "closure_quals": compiled.qual_count,
+        "facts": compiled.fact_count,
+        "types": len(type_labels),
+        "rounds": rounds,
+    }
+    root_id = context.label_index[dtd.root]
+    root_types = [
+        type_id for type_id, label_id in enumerate(type_labels)
+        if label_id == root_id and type_truths[type_id] & 1
+    ]
+    if not root_types:
+        return False, stats, None, calls
+    witness = _realize(root_types[0], context.labels, type_labels, type_words, dtd)
+    return True, stats, witness.pretty(), calls
+
+
+#: a self-recursive label: A's deeper types are found in A's own
+#: extend, so a new A type must put A back on the worklist
+SELF_RECURSIVE_DTD = """
+root r
+r -> A
+A -> A*, B?
+B -> eps
+"""
+
+
+def _negated_queries(rng, labels, count):
+    """``count`` random negation-bearing queries over ``labels`` (the
+    exptime-pool shape: a negation-free draw is a PTIME question)."""
+    queries = []
+    while len(queries) < count:
+        query = random_query(rng, REC_NEG_DOWN_UNION, labels, max_depth=3)
+        if Feature.NEGATION in features_of(query):
+            queries.append(query)
+    return queries
+
+
+class TestLabelWorklist:
+    """The decider's label worklist skips only extensions that would
+    find nothing: verdict, stats and witness equal the full sweep's,
+    with strictly fewer ``extend`` calls."""
+
+    def _assert_exact(self, monkeypatch, dtd, queries):
+        context = prepare_types(dtd)
+        calls = [0]
+        extend = _LabelSearch.extend
+
+        def counted(search, *args):
+            calls[0] += 1
+            return extend(search, *args)
+
+        worklist_calls = sweep_calls = decided = 0
+        for query in queries:
+            try:
+                expected = _full_sweep(query, dtd, context)
+            except ReproError:
+                continue
+            calls[0] = 0
+            with monkeypatch.context() as patch:
+                patch.setattr(_LabelSearch, "extend", counted)
+                result = sat_exptime_types(query, dtd, context=context)
+            witness = result.witness.pretty() if result.witness else None
+            assert (result.satisfiable, result.stats, witness) == expected[:3], (
+                str(query)
+            )
+            assert calls[0] <= expected[3], str(query)
+            worklist_calls += calls[0]
+            sweep_calls += expected[3]
+            decided += 1
+        assert decided > 0
+        assert worklist_calls < sweep_calls
+        return decided
+
+    @pytest.mark.parametrize("seed", [70, 71])
+    def test_random_64_type_schemas(self, monkeypatch, seed):
+        dtd = random_dtd(random.Random(seed), n_types=64)
+        labels = sorted(dtd.element_types)
+        queries = _negated_queries(random.Random(seed), labels, 16)
+        assert self._assert_exact(monkeypatch, dtd, queries) >= 8
+
+    def test_wide_schema(self, monkeypatch):
+        queries = [parse_query(text) for text in WIDE_QUERIES]
+        assert self._assert_exact(monkeypatch, wide_dtd(64), queries) == len(
+            WIDE_QUERIES
+        )
+
+    def test_self_recursive_label(self, monkeypatch):
+        dtd = parse_dtd(SELF_RECURSIVE_DTD)
+        queries = [
+            parse_query(text) for text in (
+                "A[A[A[B]]]",
+                "A/A/A[not(B)]/A[B]",
+                "A[not(A[not(A[B])])]",
+                "**/A[not(A) and B]",
+            )
+        ]
+        self._assert_exact(monkeypatch, dtd, queries)
+        # the deep witness needs A re-extended on A's own new types
+        result = sat_exptime_types(queries[0], dtd)
+        assert result.satisfiable
+        assert result.stats["rounds"] > 3
 
 
 class TestPlanWinner:
